@@ -8,7 +8,11 @@ consuming block results in block order. All floats are written to CSV via
 ``repr`` and parse back to the identical double.
 """
 
+import collections
+import contextlib
 import csv
+import ctypes
+import os
 import time
 
 import numpy as np
@@ -117,58 +121,115 @@ def _block_schedule(stop):
         idx += 1
 
 
+def _openblas_function(name):
+    """``openblas_<name>`` of the OpenBLAS loaded into this process, under
+    any of the symbol spellings numpy's builds use, or None if none is."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh
+                           if "openblas" in line.lower() and "/" in line})
+    except OSError:
+        return None
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for symbol in (f"openblas_{name}", f"openblas_{name}64_",
+                       f"scipy_openblas_{name}64_", f"scipy_openblas_{name}"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                return fn
+    return None
+
+
+# (decoder, code) of a pool worker, set once by its initializer
+_worker = None
+
+
+def _init_worker(decoder, code):
+    global _worker
+    _worker = (decoder, code)
+    # workers share the cores among themselves; BLAS threads on top of
+    # them only oversubscribe
+    set_threads = _openblas_function("set_num_threads")
+    if set_threads is not None:
+        set_threads.argtypes = [ctypes.c_int]
+        set_threads.restype = None
+        set_threads(1)
+
+
+def _worker_block(sigma, frames, base, point_idx, block_idx):
+    return _ber_block(*_worker, sigma, frames, base, point_idx, block_idx)
+
+
+def _usable_cpus():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _make_pool(decoder, code, processes):
+    """A pool whose workers each hold ``decoder`` and ``code`` and run one
+    BLAS thread. The pair reaches a worker once, at its start (inherited
+    under fork), not with every task."""
+    return ProcessPoolExecutor(max_workers=processes, initializer=_init_worker,
+                               initargs=(decoder, code))
+
+
+def _block_results(decoder, code, sigma, stop, base, point_idx, pool, window):
+    """(frames, bit_errors) of each block of one point, in block order:
+    computed here if ``pool`` is None, else by the pool with ``window``
+    blocks in flight. Closing the iterator cancels the blocks not started."""
+    tasks = ((sigma, frames, base, point_idx, block_idx)
+             for block_idx, frames in _block_schedule(stop))
+    if pool is None:
+        for task in tasks:
+            yield _ber_block(decoder, code, *task)
+        return
+    pending = collections.deque()
+    try:
+        for task in tasks:
+            pending.append(pool.submit(_worker_block, *task))
+            if len(pending) == window:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for fut in pending:
+            fut.cancel()
+
+
 def ber_eval(decoder, code, ebn0_list, stop=StopRule(), rng=None, workers=1):
     """Estimate bit error rate at each Eb/N0 point.
 
     Each point simulates random-message frames until ``stop.min_bit_errors``
     bit errors have been seen or ``stop.max_frames`` frames are spent,
     counting errors over information bits. Results depend only on the
-    state of ``rng`` at entry, not on ``workers``.
+    state of ``rng`` at entry, not on ``workers``. ``workers > 1`` runs
+    the whole sweep on one pool of ``min(workers, usable CPUs)`` processes.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     base = int(rng.integers(0, 2 ** 63))
+    processes = min(workers, _usable_cpus())
     rows = []
-    for point_idx, ebn0_db in enumerate(ebn0_list):
-        sigma = polar.ebn0_to_sigma(ebn0_db, code.rate)
-        total_frames = 0
-        total_errors = 0
-        if workers == 1:
-            for block_idx, frames in _block_schedule(stop):
-                f, e = _ber_block(decoder, code, sigma, frames, base,
-                                  point_idx, block_idx)
-                total_frames += f
-                total_errors += e
-                if total_errors >= stop.min_bit_errors:
-                    break
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                pending = []
-                schedule = _block_schedule(stop)
-                done = False
-                while not done:
-                    while len(pending) < workers + 2:
-                        nxt = next(schedule, None)
-                        if nxt is None:
-                            break
-                        block_idx, frames = nxt
-                        pending.append(pool.submit(
-                            _ber_block, decoder, code, sigma, frames, base,
-                            point_idx, block_idx))
-                    if not pending:
-                        break
-                    f, e = pending.pop(0).result()
+    with (_make_pool(decoder, code, processes) if workers > 1
+          else contextlib.nullcontext()) as pool:
+        for point_idx, ebn0_db in enumerate(ebn0_list):
+            sigma = polar.ebn0_to_sigma(ebn0_db, code.rate)
+            total_frames = 0
+            total_errors = 0
+            with contextlib.closing(_block_results(
+                    decoder, code, sigma, stop, base, point_idx, pool,
+                    window=processes + 2)) as blocks:
+                for f, e in blocks:
                     total_frames += f
                     total_errors += e
                     if total_errors >= stop.min_bit_errors:
-                        done = True
-                for fut in pending:
-                    fut.cancel()
-        ber = total_errors / (total_frames * code.K)
-        rows.append(BerRow(decoder=decoder.name, ebn0_db=float(ebn0_db),
-                           frames=total_frames, bit_errors=total_errors, ber=ber))
+                        break
+            ber = total_errors / (total_frames * code.K)
+            rows.append(BerRow(decoder=decoder.name, ebn0_db=float(ebn0_db),
+                               frames=total_frames, bit_errors=total_errors, ber=ber))
     return rows
 
 

@@ -1,5 +1,8 @@
 """Tests for the Monte-Carlo evaluation harness and its CSV formats."""
 
+import ctypes
+import os
+
 import numpy as np
 import pytest
 
@@ -117,13 +120,71 @@ def test_ber_same_frames_for_different_decoders():
     assert a.frames == b.frames == 2048
 
 
-def test_ber_workers_match_serial():
-    stop = ev.StopRule(min_bit_errors=40, max_frames=20_000)
-    serial = ev.ber_eval(ev.ScDecoder(CODE), CODE, [1.0, 3.0], stop=stop,
+def sc_sweep():
+    return (ev.ScDecoder(CODE), [1.0, 3.0],
+            ev.StopRule(min_bit_errors=40, max_frames=20_000))
+
+
+def mlp_sweep(forwarded=False):
+    model = tiny_model()
+    if forwarded:
+        # a forward in the parent leaves every layer's cache on the
+        # decoder the workers receive
+        model.forward(np.ones((ev.BER_BLOCK_FRAMES, 16)))
+    # an untrained decoder makes ~8k bit errors a block, so the rule fires
+    # on the third of ten blocks while later ones are still in flight
+    return (ev.ModelDecoder(model), [0.0, 2.0, 4.0],
+            ev.StopRule(min_bit_errors=20_000, max_frames=20_000))
+
+
+@pytest.mark.parametrize("sweep", [sc_sweep, mlp_sweep, lambda: mlp_sweep(True)],
+                         ids=["sc", "mlp-rnnd", "mlp-rnnd-forwarded"])
+def test_ber_workers_match_serial(sweep):
+    decoder, ebn0, stop = sweep()
+    serial = ev.ber_eval(decoder, CODE, ebn0, stop=stop,
                          rng=np.random.default_rng(5), workers=1)
-    parallel = ev.ber_eval(ev.ScDecoder(CODE), CODE, [1.0, 3.0], stop=stop,
+    parallel = ev.ber_eval(decoder, CODE, ebn0, stop=stop,
                            rng=np.random.default_rng(5), workers=2)
     assert serial == parallel
+
+
+def test_ber_pool_capped_at_usable_cpus(monkeypatch):
+    sizes = []
+
+    class NoPool:
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+            raise RuntimeError("no pool started")
+
+    def pool_size(workers):
+        with pytest.raises(RuntimeError, match="no pool started"):
+            ev.ber_eval(ev.ScDecoder(CODE), CODE, [1.0], workers=workers)
+        return sizes[-1]
+
+    monkeypatch.setattr(ev, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert pool_size(2) == 2
+    assert pool_size(500) == 3
+    # one usable CPU still takes the pool path
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert pool_size(2) == 1
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert pool_size(500) == 5
+
+
+def worker_blas_threads():
+    get_threads = ev._openblas_function("get_num_threads")
+    get_threads.argtypes = []
+    get_threads.restype = ctypes.c_int
+    return get_threads()
+
+
+def test_ber_pool_workers_run_one_blas_thread():
+    if ev._openblas_function("get_num_threads") is None:
+        pytest.skip("numpy has no OpenBLAS thread getter here")
+    with ev._make_pool(ev.ScDecoder(CODE), CODE, 1) as pool:
+        assert pool.submit(worker_blas_threads).result(timeout=60) == 1
 
 
 def test_ber_workers_validation():
