@@ -13,6 +13,7 @@ overwrite refusal), 3 runtime failure.
 """
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -26,7 +27,7 @@ from polarlab import polar
 from polarlab.models import FAMILIES, VARIANTS, ModelSpec, parse_arch_name, build
 from polarlab.nn import param_count
 from polarlab.training import (TrainConfig, TrainingDiverged, CheckpointError,
-                               gen_dataset, train, save_checkpoint,
+                               TraceRow, gen_dataset, train, save_checkpoint,
                                load_checkpoint)
 
 log = logging.getLogger("polarlab")
@@ -64,10 +65,6 @@ class Settings:
 
 
 _CODE_KEYS = ("N", "K")
-_TRAIN_KEYS = ("batch_size", "epochs", "train_ebn0_db", "lr", "beta1",
-               "beta2", "eps", "log_every", "checkpoint_every")
-_EVAL_KEYS = ("ebn0_db", "min_bit_errors", "max_frames", "frames", "bins",
-              "pdf_ebn0_db", "batch", "bench_frames")
 _TOP_KEYS = ("code", "arch", "train", "eval", "out", "seed")
 
 
@@ -79,12 +76,38 @@ def _check_keys(mapping, allowed, where):
         raise UsageError(f"unknown config key(s) in {where}: {', '.join(unknown)}")
 
 
-def _typed(mapping, key, kinds, where):
-    value = mapping[key]
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        want = kinds[0].__name__ if isinstance(kinds, tuple) else kinds.__name__
-        raise UsageError(f"config key {where}.{key} must be a {want}")
+def _typed(value, kind, key):
+    """A config value checked against ``kind``: ``str``, ``int`` (not a
+    bool), ``float`` (any finite number, returned as a float) or ``tuple``
+    (a non-empty list of finite numbers, returned as a tuple of floats)."""
+    if kind is tuple:
+        if not isinstance(value, list) or not value:
+            raise UsageError(f"config key {key} must be a non-empty list of numbers")
+        return tuple(_typed(v, float, key) for v in value)
+    if isinstance(value, bool) or not isinstance(
+            value, (int, float) if kind is float else kind):
+        want = "number" if kind is float else kind.__name__
+        raise UsageError(f"config key {key} must be a {want}")
+    if kind is float:
+        # NaN compares false; a huge int compares exactly, before float()
+        # could overflow
+        if not abs(value) <= sys.float_info.max:
+            raise UsageError(f"config key {key} must be finite, got {value}")
+        return float(value)
     return value
+
+
+def _section(section, name, cls, skip=()):
+    """``cls`` built from config section ``name``: its keys are the fields of
+    ``cls`` less ``skip``, each typed by the field's annotation."""
+    kinds = {f.name: f.type for f in dataclasses.fields(cls) if f.name not in skip}
+    _check_keys(section, kinds, name)
+    kwargs = {key: _typed(value, kinds[key], f"{name}.{key}")
+              for key, value in section.items()}
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise UsageError(f"bad {name} config: {exc}") from exc
 
 
 def load_config(path):
@@ -97,52 +120,21 @@ def load_config(path):
     except json.JSONDecodeError as exc:
         raise UsageError(f"config {path} is not valid JSON: {exc}") from exc
     _check_keys(raw, _TOP_KEYS, "top level")
-    settings = Settings()
+    kinds = {f.name: f.type for f in dataclasses.fields(Settings)}
+    values = {}
     if "code" in raw:
-        code = raw["code"]
-        _check_keys(code, _CODE_KEYS, "code")
-        n = _typed(code, "N", (int,), "code") if "N" in code else settings.N
-        k = _typed(code, "K", (int,), "code") if "K" in code else settings.K
-        settings = replace(settings, N=n, K=k)
-    if "arch" in raw:
-        settings = replace(settings, arch=_typed(raw, "arch", (str,), "top level"))
+        _check_keys(raw["code"], _CODE_KEYS, "code")
+        values.update({key: _typed(value, kinds[key], f"code.{key}")
+                       for key, value in raw["code"].items()})
+    for key in ("arch", "out", "seed"):
+        if key in raw:
+            values[key] = _typed(raw[key], kinds[key], key)
     if "train" in raw:
-        section = raw["train"]
-        _check_keys(section, _TRAIN_KEYS, "train")
-        kwargs = {}
-        for key in _TRAIN_KEYS:
-            if key in section:
-                kinds = (int,) if key in ("batch_size", "epochs", "log_every",
-                                          "checkpoint_every") else (int, float)
-                kwargs[key] = _typed(section, key, kinds, "train")
-        try:
-            settings = replace(settings, train=TrainConfig(**kwargs))
-        except ValueError as exc:
-            raise UsageError(f"bad train config: {exc}") from exc
+        # the seed is top-level only
+        values["train"] = _section(raw["train"], "train", TrainConfig, skip=("seed",))
     if "eval" in raw:
-        section = raw["eval"]
-        _check_keys(section, _EVAL_KEYS, "eval")
-        kwargs = {}
-        for key in _EVAL_KEYS:
-            if key not in section:
-                continue
-            if key == "ebn0_db":
-                grid = section[key]
-                if (not isinstance(grid, list) or not grid
-                        or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                               for v in grid)):
-                    raise UsageError("config key eval.ebn0_db must be a "
-                                     "non-empty list of numbers")
-                kwargs[key] = tuple(float(v) for v in grid)
-            elif key == "pdf_ebn0_db":
-                kwargs[key] = float(_typed(section, key, (int, float), "eval"))
-            else:
-                kwargs[key] = _typed(section, key, (int,), "eval")
-        settings = replace(settings, eval=EvalSettings(**kwargs))
-    if "out" in raw:
-        settings = replace(settings, out=_typed(raw, "out", (str,), "top level"))
-    if "seed" in raw:
-        settings = replace(settings, seed=_typed(raw, "seed", (int,), "top level"))
+        values["eval"] = _section(raw["eval"], "eval", EvalSettings)
+    settings = Settings(**values)
     if settings.seed < 0:
         raise UsageError(f"seed must be non-negative, got {settings.seed}")
     return settings
@@ -159,23 +151,17 @@ def _settings_from_args(args):
     return settings
 
 
-def _arch_hint(name):
-    return (f"bad arch name {name!r}: expected family-variant or "
-            f"family-variant-N-K with family in {FAMILIES} and variant "
-            f"in {VARIANTS}")
-
-
-def _resolve_spec(arch, n, k):
-    """Accept 'family-variant' (code sizes fill in) or a full arch name."""
-    parts = arch.split("-")
+def _resolve_spec(arch, code=None):
+    """The spec an arch name gives: 'family-variant' is sized by ``code``,
+    else (16, 8); a full name must match ``code`` when one is given."""
     try:
-        if len(parts) == 2:
-            return ModelSpec(family=parts[0], variant=parts[1], N=n, K=k)
-        spec = parse_arch_name(arch)
+        spec = (parse_arch_name(arch) if code is None
+                else parse_arch_name(arch, code.N, code.K))
     except ValueError as exc:
-        raise UsageError(f"{_arch_hint(arch)} ({exc})") from exc
-    if (spec.N, spec.K) != (n, k):
-        raise UsageError(f"arch {arch} does not match code ({n}, {k})")
+        raise UsageError(f"{exc}; family is one of {FAMILIES} and variant "
+                         f"one of {VARIANTS}") from exc
+    if code is not None and (spec.N, spec.K) != (code.N, code.K):
+        raise UsageError(f"arch {arch} does not match code ({code.N}, {code.K})")
     return spec
 
 
@@ -216,7 +202,7 @@ def _eval_rng(seed):
 def cmd_train(args):
     settings = _settings_from_args(args)
     code = _make_code(settings)
-    spec = _resolve_spec(settings.arch, code.N, code.K)
+    spec = _resolve_spec(settings.arch, code)
     ckpt_path, trace_path = _prepare_out(
         settings, ["checkpoint.json", "trace.csv"], args.force)
     config = replace(settings.train, seed=settings.seed)
@@ -236,7 +222,7 @@ def cmd_train(args):
     callback = snapshot if config.checkpoint_every else None
     trace = train(model, dataset, config, epoch_callback=callback)
     save_checkpoint(model, ckpt_path, seed=settings.seed, epoch=config.epochs)
-    trace.write_csv(trace_path)
+    ev.write_rows(trace_path, TraceRow, trace.rows)
     if trace.rows:
         last = trace.rows[-1]
         print(f"final loss: total {last.total_loss:.6f} denoise "
@@ -260,7 +246,7 @@ def cmd_ber(args):
         rows += ev.ber_eval(decoder, code, settings.eval.ebn0_db, stop=stop,
                             rng=_eval_rng(settings.seed), workers=args.workers)
         log.info("evaluated %s", decoder.name)
-    ev.write_ber_csv(out_path, rows)
+    ev.write_rows(out_path, ev.BerRow, rows)
     print(f"wrote {out_path}")
     return 0
 
@@ -275,7 +261,7 @@ def cmd_snr(args):
                            settings.eval.frames, rng=_eval_rng(settings.seed))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    ev.write_snr_csv(out_path, rows)
+    ev.write_rows(out_path, ev.SnrRow, rows)
     print(f"wrote {out_path}")
     return 0
 
@@ -291,7 +277,7 @@ def cmd_pdf(args):
                            bins=settings.eval.bins)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    ev.write_pdf_csv(out_path, rows)
+    ev.write_rows(out_path, ev.HistRow, rows)
     print(f"wrote {out_path}")
     return 0
 
@@ -305,7 +291,7 @@ def cmd_bench(args):
     rows = ev.timing_bench(code, decoders, settings.eval.bench_frames,
                            batch=settings.eval.batch,
                            rng=_eval_rng(settings.seed))
-    ev.write_timing_csv(out_path, rows)
+    ev.write_rows(out_path, ev.TimingRow, rows)
     print(f"wrote {out_path}")
     return 0
 
@@ -316,25 +302,13 @@ def cmd_params(args):
     else:
         names = [f"{fam}-{var}-16-8" for fam in FAMILIES for var in VARIANTS]
     for name in names:
-        spec = _resolve_spec(name, *_parts_nk(name))
+        spec = _resolve_spec(name)
         try:
             model = build(spec, seed=0)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
         print(f"{spec.arch_name} {param_count(model)}")
     return 0
-
-
-def _parts_nk(name):
-    parts = name.split("-")
-    if len(parts) == 2:
-        return 16, 8
-    if len(parts) == 4:
-        try:
-            return int(parts[2]), int(parts[3])
-        except ValueError as exc:
-            raise UsageError(_arch_hint(name)) from exc
-    raise UsageError(_arch_hint(name))
 
 
 def build_parser():

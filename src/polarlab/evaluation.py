@@ -1,17 +1,19 @@
 """Monte-Carlo evaluation harness: BER sweeps, denoiser SNR gain,
-signal histograms, and wall-clock timing, plus the CSV row formats.
+signal histograms, and wall-clock timing, plus the CSV codec for their rows.
 
 Frame generation is organized in fixed-size blocks whose generators are
 derived from ``(base, point, block)`` seeds, so results are identical for
 any worker count and any stop point; the stop rule is applied while
-consuming block results in block order. All floats are written to CSV via
-``repr`` and parse back to the identical double.
+consuming block results in block order. Every CSV file is one dataclass
+row type: a header of its field names, then one line per row. All floats
+are written via ``repr`` and parse back to the identical double.
 """
 
 import collections
 import contextlib
 import csv
 import ctypes
+import dataclasses
 import os
 import time
 
@@ -23,11 +25,6 @@ from polarlab import polar
 from polarlab.models import hard_decision
 
 BER_BLOCK_FRAMES = 2048
-
-BER_HEADER = ["decoder", "ebn0_db", "frames", "bit_errors", "ber"]
-SNR_HEADER = ["ebn0_db", "input_snr_db", "output_snr_db"]
-PDF_HEADER = ["bin_left", "bin_right", "density_received", "density_denoised"]
-TIMING_HEADER = ["decoder", "frames", "total_time_s", "per_frame_s", "batch"]
 
 
 @dataclass(frozen=True)
@@ -98,27 +95,27 @@ class ModelDecoder:
         return hard_decision(u_soft)
 
 
-def _block_rng(base, point_idx, block_idx):
-    return np.random.default_rng(np.random.SeedSequence([base, point_idx, block_idx]))
+def _frames(code, n, sigma, rng):
+    """``n`` random-message frames: ``(msgs, s, y)`` with ``s`` the BPSK
+    codewords and ``y`` what the AWGN channel of noise ``sigma`` delivers."""
+    msgs = rng.integers(0, 2, size=(n, code.K))
+    s = polar.bpsk_modulate(polar.encode(code, msgs))
+    return msgs, s, polar.awgn_channel(s, sigma, rng)
 
 
 def _ber_block(decoder, code, sigma, frames, base, point_idx, block_idx):
     """Simulate one block of random frames; returns (frames, bit_errors)."""
-    rng = _block_rng(base, point_idx, block_idx)
-    msgs = rng.integers(0, 2, size=(frames, code.K))
-    y = polar.awgn_channel(polar.bpsk_modulate(polar.encode(code, msgs)), sigma, rng)
+    rng = np.random.default_rng(np.random.SeedSequence([base, point_idx, block_idx]))
+    msgs, _, y = _frames(code, frames, sigma, rng)
     decoded = decoder.decode(y, sigma)
     return frames, int((decoded != msgs).sum())
 
 
-def _block_schedule(stop):
-    lo = 0
-    idx = 0
-    while lo < stop.max_frames:
-        frames = min(BER_BLOCK_FRAMES, stop.max_frames - lo)
-        yield idx, frames
-        lo += frames
-        idx += 1
+def _chunks(total, size):
+    """Sizes of the consecutive blocks of at most ``size`` that make up
+    ``total`` frames."""
+    for lo in range(0, total, size):
+        yield min(size, total - lo)
 
 
 def _openblas_function(name):
@@ -179,7 +176,8 @@ def _block_results(decoder, code, sigma, stop, base, point_idx, pool, window):
     computed here if ``pool`` is None, else by the pool with ``window``
     blocks in flight. Closing the iterator cancels the blocks not started."""
     tasks = ((sigma, frames, base, point_idx, block_idx)
-             for block_idx, frames in _block_schedule(stop))
+             for block_idx, frames in enumerate(
+                 _chunks(stop.max_frames, BER_BLOCK_FRAMES)))
     if pool is None:
         for task in tasks:
             yield _ber_block(decoder, code, *task)
@@ -236,31 +234,36 @@ def ber_eval(decoder, code, ebn0_list, stop=StopRule(), rng=None, workers=1):
 SNR_CHUNK_FRAMES = 4096
 
 
+def _check_denoise_args(model, frames):
+    if model.denoiser is None:
+        raise ValueError(f"{model.spec.arch_name} has no denoiser stage "
+                         "(rnnd variants only)")
+    if frames < 1:
+        raise ValueError("frames must be >= 1")
+
+
+def _denoised_chunks(model, code, sigma, frames, rng):
+    """``(s, y, s_hat)`` for ``frames`` frames, in chunks of at most
+    ``SNR_CHUNK_FRAMES``, ``s_hat`` being the denoiser's estimate of ``s``."""
+    for n in _chunks(frames, SNR_CHUNK_FRAMES):
+        _, s, y = _frames(code, n, sigma, rng)
+        yield s, y, model.denoise(y)
+
+
 def snr_gain(model, code, ebn0_list, frames, rng=None):
     """Input and output SNR (dB) of the denoiser stage at each Eb/N0 point.
 
     SNR is ``10 log10(sum s^2 / sum (v - s)^2)`` over all simulated symbols,
     with ``v`` the received (input) or denoised (output) signal.
     """
-    if model.denoiser is None:
-        raise ValueError(f"{model.spec.arch_name} has no denoiser stage "
-                         "(rnnd variants only)")
-    if frames < 1:
-        raise ValueError("frames must be >= 1")
+    _check_denoise_args(model, frames)
     if rng is None:
         rng = np.random.default_rng(0)
     rows = []
     for ebn0_db in ebn0_list:
         sigma = polar.ebn0_to_sigma(ebn0_db, code.rate)
         signal_power = noise_in = noise_out = 0.0
-        remaining = frames
-        while remaining > 0:
-            n = min(SNR_CHUNK_FRAMES, remaining)
-            remaining -= n
-            msgs = rng.integers(0, 2, size=(n, code.K))
-            s = polar.bpsk_modulate(polar.encode(code, msgs))
-            y = polar.awgn_channel(s, sigma, rng)
-            s_hat = model.denoise(y)
+        for s, y, s_hat in _denoised_chunks(model, code, sigma, frames, rng):
             signal_power += float((s * s).sum())
             noise_in += float(((y - s) ** 2).sum())
             noise_out += float(((s_hat - s) ** 2).sum())
@@ -277,13 +280,9 @@ def pdf_hist(model, code, ebn0_db, frames, rng=None, bins=80, lo=-4.0, hi=4.0):
     Values outside ``[lo, hi]`` are clipped into the edge bins; each
     density column integrates to 1 over the range.
     """
-    if model.denoiser is None:
-        raise ValueError(f"{model.spec.arch_name} has no denoiser stage "
-                         "(rnnd variants only)")
+    _check_denoise_args(model, frames)
     if bins < 10:
         raise ValueError("bins must be >= 10")
-    if frames < 1:
-        raise ValueError("frames must be >= 1")
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
     if rng is None:
@@ -292,14 +291,7 @@ def pdf_hist(model, code, ebn0_db, frames, rng=None, bins=80, lo=-4.0, hi=4.0):
     edges = np.linspace(lo, hi, bins + 1)
     counts_received = np.zeros(bins, dtype=np.int64)
     counts_denoised = np.zeros(bins, dtype=np.int64)
-    remaining = frames
-    while remaining > 0:
-        n = min(SNR_CHUNK_FRAMES, remaining)
-        remaining -= n
-        msgs = rng.integers(0, 2, size=(n, code.K))
-        s = polar.bpsk_modulate(polar.encode(code, msgs))
-        y = polar.awgn_channel(s, sigma, rng)
-        s_hat = model.denoise(y)
+    for _, y, s_hat in _denoised_chunks(model, code, sigma, frames, rng):
         counts_received += np.histogram(np.clip(y, lo, hi), bins=edges)[0]
         counts_denoised += np.histogram(np.clip(s_hat, lo, hi), bins=edges)[0]
     width = (hi - lo) / bins
@@ -327,8 +319,7 @@ def timing_bench(code, decoders, frames, ebn0_db=0.0, batch=1024, rng=None):
     if rng is None:
         rng = np.random.default_rng(0)
     sigma = polar.ebn0_to_sigma(ebn0_db, code.rate)
-    msgs = rng.integers(0, 2, size=(frames, code.K))
-    y = polar.awgn_channel(polar.bpsk_modulate(polar.encode(code, msgs)), sigma, rng)
+    _, _, y = _frames(code, frames, sigma, rng)
     rows = []
     for decoder in decoders:
         sequential = isinstance(decoder, ScDecoder)
@@ -354,60 +345,38 @@ def _fmt(v):
     return repr(float(v)) if isinstance(v, float) else str(v)
 
 
-def _write_csv(path, header, rows, fields):
+def write_rows(path, row_type, rows):
+    """Write ``rows``, instances of the dataclass ``row_type``, as CSV."""
+    names = [f.name for f in dataclasses.fields(row_type)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
+        writer.writerow(names)
         for r in rows:
-            writer.writerow([_fmt(getattr(r, f)) for f in fields])
+            writer.writerow([_fmt(getattr(r, name)) for name in names])
 
 
-def _read_csv(path, header, make):
+def read_rows(path, row_type):
+    """Parse a file ``write_rows`` wrote back into a list of ``row_type``.
+
+    Each value is parsed by its field's type annotation. An empty file, a
+    wrong header, a line of the wrong width or an unparsable value raises
+    ``ValueError`` naming the file and the line.
+    """
+    fields = dataclasses.fields(row_type)
+    names = [f.name for f in fields]
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        got = next(reader)
-        if got != header:
-            raise ValueError(f"unexpected header {got}, want {header}")
+        header = next(reader, None)
+        if header != names:
+            got = "no header" if header is None else f"header {header}"
+            raise ValueError(f"{path}, line 1: {got}, want {names}")
         for line in reader:
-            rows.append(make(line))
+            where = f"{path}, line {reader.line_num}"
+            if len(line) != len(fields):
+                raise ValueError(f"{where}: {len(line)} fields, want {len(fields)}")
+            try:
+                rows.append(row_type(*(f.type(v) for f, v in zip(fields, line))))
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
     return rows
-
-
-def write_ber_csv(path, rows):
-    _write_csv(path, BER_HEADER, rows, BER_HEADER)
-
-
-def read_ber_csv(path):
-    return _read_csv(path, BER_HEADER, lambda r: BerRow(
-        decoder=r[0], ebn0_db=float(r[1]), frames=int(r[2]),
-        bit_errors=int(r[3]), ber=float(r[4])))
-
-
-def write_snr_csv(path, rows):
-    _write_csv(path, SNR_HEADER, rows, SNR_HEADER)
-
-
-def read_snr_csv(path):
-    return _read_csv(path, SNR_HEADER, lambda r: SnrRow(
-        ebn0_db=float(r[0]), input_snr_db=float(r[1]), output_snr_db=float(r[2])))
-
-
-def write_pdf_csv(path, rows):
-    _write_csv(path, PDF_HEADER, rows, PDF_HEADER)
-
-
-def read_pdf_csv(path):
-    return _read_csv(path, PDF_HEADER, lambda r: HistRow(
-        bin_left=float(r[0]), bin_right=float(r[1]),
-        density_received=float(r[2]), density_denoised=float(r[3])))
-
-
-def write_timing_csv(path, rows):
-    _write_csv(path, TIMING_HEADER, rows, TIMING_HEADER)
-
-
-def read_timing_csv(path):
-    return _read_csv(path, TIMING_HEADER, lambda r: TimingRow(
-        decoder=r[0], frames=int(r[1]), total_time_s=float(r[2]),
-        per_frame_s=float(r[3]), batch=int(r[4])))

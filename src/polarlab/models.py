@@ -9,7 +9,7 @@ bottleneck, and trains on the decoding term alone.
 """
 
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from polarlab.nn import (
     Affine,
@@ -91,6 +91,11 @@ class ModelSpec:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        sizes = (self.N, self.K, self.rnn_denoiser_hidden, self.rnn_decoder_hidden,
+                 *self.mlp_hidden, *self.cnn_denoiser_channels,
+                 *self.cnn_decoder_channels)
+        if not all(type(n) is int and n >= 1 for n in sizes):
+            raise ValueError(f"sizes and widths must be positive integers: {self}")
         if not 1 <= self.K <= self.N:
             raise ValueError(f"need 1 <= K <= N, got K={self.K}, N={self.N}")
 
@@ -99,14 +104,16 @@ class ModelSpec:
         return f"{self.family}-{self.variant}-{self.N}-{self.K}"
 
 
-def parse_arch_name(name):
-    """Inverse of ``ModelSpec.arch_name`` for the default dimension table."""
+def parse_arch_name(name, N=16, K=8):
+    """Inverse of ``ModelSpec.arch_name`` for the default dimension table; a
+    short 'family-variant' name takes the code size ``N``, ``K``."""
     parts = name.split("-")
-    if len(parts) != 4:
-        raise ValueError(f"bad architecture name {name!r}; want family-variant-N-K")
-    family, variant, n_str, k_str = parts
     try:
-        return ModelSpec(family=family, variant=variant, N=int(n_str), K=int(k_str))
+        if len(parts) == 4:
+            N, K = int(parts[2]), int(parts[3])
+        elif len(parts) != 2:
+            raise ValueError("want family-variant or family-variant-N-K")
+        return ModelSpec(family=parts[0], variant=parts[1], N=N, K=K)
     except ValueError as exc:
         raise ValueError(f"bad architecture name {name!r}: {exc}") from None
 
@@ -118,92 +125,71 @@ class LossValues:
     decode: float
 
 
-def _mlp_stack(dims_in, hidden, dims_out, rng, sigmoid_head):
+def _head(dims_in, dims_out, rng, sigmoid):
+    """The closing Affine, squashed into (0, 1) on a decoding stack."""
+    return [Affine(dims_in, dims_out, rng)] + ([Sigmoid()] if sigmoid else [])
+
+
+def _mlp_stack(n, hidden, dims_out, rng, sigmoid):
     layers = []
-    prev = dims_in
+    prev = n
     for width in hidden:
         layers += [Affine(prev, width, rng), ReLU()]
         prev = width
-    layers.append(Affine(prev, dims_out, rng))
-    if sigmoid_head:
-        layers.append(Sigmoid())
-    return Sequential(layers)
+    return Sequential(layers + _head(prev, dims_out, rng, sigmoid))
 
 
-def _cnn_stack(channels, length, dims_out, rng, sigmoid_head):
+def _cnn_trunk(c_in, channels, rng):
     """Three conv blocks with pooling after the first two (length -> length/4)."""
-    if length % 4 != 0:
-        raise ValueError(f"cnn stacks pool twice; N must be divisible by 4, got {length}")
     c1, c2, c3 = channels
-    layers = [
-        AsChannels(),
-        Conv1D(1, c1, rng), ReLU(), MaxPool1D(),
-        Conv1D(c1, c2, rng), ReLU(), MaxPool1D(),
-        Conv1D(c2, c3, rng), ReLU(),
-        Flatten(),
-        Affine(c3 * (length // 4), dims_out, rng),
-    ]
-    if sigmoid_head:
-        layers.append(Sigmoid())
-    return Sequential(layers)
+    return [Conv1D(c_in, c1, rng), ReLU(), MaxPool1D(),
+            Conv1D(c1, c2, rng), ReLU(), MaxPool1D(),
+            Conv1D(c2, c3, rng), ReLU()]
 
 
-def _cnn_nnd_stack(spec, rng):
-    # Six conv layers; pools stay where the two three-conv stacks had them,
-    # so the length runs N -> N/4 across the first half and N/4 -> N/16
-    # across the second.
-    if spec.N % 16 != 0:
-        raise ValueError(
-            f"cnn-nnd pools four times; N must be divisible by 16, got {spec.N}")
-    c1, c2, c3 = spec.cnn_denoiser_channels
-    d1, d2, d3 = spec.cnn_decoder_channels
-    return Sequential([
-        AsChannels(),
-        Conv1D(1, c1, rng), ReLU(), MaxPool1D(),
-        Conv1D(c1, c2, rng), ReLU(), MaxPool1D(),
-        Conv1D(c2, c3, rng), ReLU(),
-        Conv1D(c3, d1, rng), ReLU(), MaxPool1D(),
-        Conv1D(d1, d2, rng), ReLU(), MaxPool1D(),
-        Conv1D(d2, d3, rng), ReLU(),
-        Flatten(),
-        Affine(d3 * (spec.N // 16), spec.K, rng),
-        Sigmoid(),
-    ])
+def _cnn_stack(n, trunks, dims_out, rng, sigmoid):
+    """One conv trunk per channel triple in ``trunks``, in series."""
+    shrink = 4 ** len(trunks)
+    if n % shrink != 0:
+        raise ValueError(f"cnn stacks pool {2 * len(trunks)} times; N must be "
+                         f"divisible by {shrink}, got {n}")
+    layers = [AsChannels()]
+    c_in = 1
+    for channels in trunks:
+        layers += _cnn_trunk(c_in, channels, rng)
+        c_in = channels[-1]
+    return Sequential(layers + [Flatten()]
+                      + _head(c_in * (n // shrink), dims_out, rng, sigmoid))
 
 
-def _rnn_stack(n_in, hidden, dims_out, rng, sigmoid_head):
-    layers = [AsSequence(), LSTM(n_in, hidden, rng), TakeLast(),
-              Affine(hidden, dims_out, rng)]
-    if sigmoid_head:
-        layers.append(Sigmoid())
-    return Sequential(layers)
+def _rnn_stack(n, hidden, dims_out, rng, sigmoid):
+    """LSTMs in series, reading one symbol per step, so ``n`` sizes nothing."""
+    layers = [AsSequence()]
+    prev = 1
+    for width in hidden:
+        layers.append(LSTM(prev, width, rng))
+        prev = width
+    return Sequential(layers + [TakeLast()] + _head(prev, dims_out, rng, sigmoid))
 
 
 def _build_stacks(spec, rng):
-    """Returns (denoiser, decoder); denoiser is None for NND variants."""
+    """Returns (denoiser, decoder); denoiser is None for NND variants.
+
+    An NND runs the RNND's denoiser and decoder trunks in series as one
+    stack, without the shortcut and without the N-wide bottleneck.
+    """
     if spec.family == "mlp":
-        if spec.variant == "rnnd":
-            return (_mlp_stack(spec.N, spec.mlp_hidden, spec.N, rng, False),
-                    _mlp_stack(spec.N, spec.mlp_hidden, spec.K, rng, True))
-        return None, _mlp_stack(spec.N, spec.mlp_hidden + spec.mlp_hidden,
-                                spec.K, rng, True)
-    if spec.family == "cnn":
-        if spec.variant == "rnnd":
-            return (_cnn_stack(spec.cnn_denoiser_channels, spec.N, spec.N, rng, False),
-                    _cnn_stack(spec.cnn_decoder_channels, spec.N, spec.K, rng, True))
-        return None, _cnn_nnd_stack(spec, rng)
+        stack, den, dec = _mlp_stack, spec.mlp_hidden, spec.mlp_hidden
+    elif spec.family == "cnn":
+        stack = _cnn_stack
+        den, dec = (spec.cnn_denoiser_channels,), (spec.cnn_decoder_channels,)
+    else:
+        stack = _rnn_stack
+        den, dec = (spec.rnn_denoiser_hidden,), (spec.rnn_decoder_hidden,)
     if spec.variant == "rnnd":
-        return (_rnn_stack(1, spec.rnn_denoiser_hidden, spec.N, rng, False),
-                _rnn_stack(1, spec.rnn_decoder_hidden, spec.K, rng, True))
-    nnd = Sequential([
-        AsSequence(),
-        LSTM(1, spec.rnn_denoiser_hidden, rng),
-        LSTM(spec.rnn_denoiser_hidden, spec.rnn_decoder_hidden, rng),
-        TakeLast(),
-        Affine(spec.rnn_decoder_hidden, spec.K, rng),
-        Sigmoid(),
-    ])
-    return None, nnd
+        return (stack(spec.N, den, spec.N, rng, False),
+                stack(spec.N, dec, spec.K, rng, True))
+    return None, stack(spec.N, den + dec, spec.K, rng, True)
 
 
 class Model:
@@ -214,16 +200,8 @@ class Model:
         self.denoiser = denoiser
         self.decoder = decoder
 
-    @property
-    def is_rnnd(self):
-        return self.denoiser is not None
-
     def params(self):
-        out = []
-        if self.denoiser is not None:
-            out += self.denoiser.params()
-        out += self.decoder.params()
-        return out
+        return [p for _, p in self.named_params()]
 
     def named_params(self):
         out = []
@@ -240,10 +218,9 @@ class Model:
 
     def forward(self, y):
         """Returns ``(s_hat, u_soft)``; ``s_hat`` is None for NND variants."""
-        y = self._check_input(y)
         if self.denoiser is None:
-            return None, self.decoder.forward(y)
-        s_hat = y + self.denoiser.forward(y)
+            return None, self.decoder.forward(self._check_input(y))
+        s_hat = self.denoise(y)
         return s_hat, self.decoder.forward(s_hat)
 
     def denoise(self, y):

@@ -7,19 +7,17 @@ iteration draws fresh channel noise at the training Eb/N0, so the model
 never sees the same received vector twice.
 """
 
-import csv
+import dataclasses
 import json
-import os
 
 import numpy as np
 from dataclasses import dataclass, field
 
 from polarlab import polar
-from polarlab.models import Model, build, parse_arch_name
+from polarlab.models import ModelSpec, build
 from polarlab.nn import Adam
 
-CHECKPOINT_FORMAT_VERSION = 1
-TRACE_HEADER = ["epoch", "step", "total_loss", "denoise_loss", "decode_loss"]
+CHECKPOINT_FORMAT_VERSION = 2
 
 
 class TrainingDiverged(RuntimeError):
@@ -90,28 +88,6 @@ class TraceRow:
 class TrainTrace:
     rows: list = field(default_factory=list)
 
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TRACE_HEADER)
-            for r in self.rows:
-                writer.writerow([r.epoch, r.step, repr(r.total_loss),
-                                 repr(r.denoise_loss), repr(r.decode_loss)])
-
-    @classmethod
-    def read_csv(cls, path):
-        trace = cls()
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if header != TRACE_HEADER:
-                raise ValueError(f"unexpected trace header {header}")
-            for row in reader:
-                trace.rows.append(TraceRow(int(row[0]), int(row[1]),
-                                           float(row[2]), float(row[3]),
-                                           float(row[4])))
-        return trace
-
 
 def _batch_slices(count, batch_size):
     """Consecutive fixed-order slices; the tail slice may be short."""
@@ -168,54 +144,23 @@ class CheckpointMeta:
     epoch: int
 
 
-def _infer_spec(base, shapes):
-    """Recover layer widths from stored tensor shapes.
-
-    The architecture name pins family/variant/N/K; the width fields are
-    read back off the weight shapes at the builder's fixed layer indices.
-    A file that does not expose the expected tensors fails here, and any
-    deeper inconsistency fails the exact name/shape comparison afterwards.
-    """
-    from dataclasses import replace
-
-    def dim(name, axis):
-        if name not in shapes:
-            raise CheckpointError(f"checkpoint lacks tensor {name!r} "
-                                  f"required by {base.arch_name}")
-        return int(shapes[name][axis])
-
-    if base.family == "mlp":
-        stack = "denoiser" if base.variant == "rnnd" else "decoder"
-        hidden = tuple(dim(f"{stack}.{i}.W", 1) for i in (0, 2, 4))
-        return replace(base, mlp_hidden=hidden)
-    if base.family == "cnn":
-        if base.variant == "rnnd":
-            return replace(
-                base,
-                cnn_denoiser_channels=tuple(dim(f"denoiser.{i}.W", 1)
-                                            for i in (1, 4, 7)),
-                cnn_decoder_channels=tuple(dim(f"decoder.{i}.W", 1)
-                                           for i in (1, 4, 7)))
-        return replace(
-            base,
-            cnn_denoiser_channels=tuple(dim(f"decoder.{i}.W", 1)
-                                        for i in (1, 4, 7)),
-            cnn_decoder_channels=tuple(dim(f"decoder.{i}.W", 1)
-                                       for i in (9, 12, 15)))
-    if base.variant == "rnnd":
-        return replace(base,
-                       rnn_denoiser_hidden=dim("denoiser.1.Wh_i", 0),
-                       rnn_decoder_hidden=dim("decoder.1.Wh_i", 0))
-    return replace(base,
-                   rnn_denoiser_hidden=dim("decoder.1.Wh_i", 0),
-                   rnn_decoder_hidden=dim("decoder.2.Wh_i", 0))
+def _spec_from(raw, path):
+    """The ``ModelSpec`` stored in a checkpoint (JSON lists back to tuples)."""
+    if not isinstance(raw, dict):
+        raise CheckpointError(f"checkpoint {path} field 'spec' must be an object")
+    try:
+        return ModelSpec(**{key: tuple(v) if isinstance(v, list) else v
+                            for key, v in raw.items()})
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"checkpoint {path} has a bad spec: {exc}") from None
 
 
 def save_checkpoint(model, path, seed, epoch):
-    """Write the model's tensors as JSON (decimal shortest-round-trip floats)."""
+    """Write the model's spec and tensors as JSON (decimal shortest-round-trip
+    floats)."""
     doc = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
-        "arch_name": model.spec.arch_name,
+        "spec": dataclasses.asdict(model.spec),
         "seed": int(seed),
         "epoch": int(epoch),
         "tensors": [
@@ -230,7 +175,8 @@ def save_checkpoint(model, path, seed, epoch):
 
 
 def load_checkpoint(path):
-    """Rebuild the architecture named in the file and restore its tensors.
+    """Rebuild the architecture the file's spec describes and restore its
+    tensors.
 
     Returns ``(model, meta)``. Any structural mismatch (version, tensor
     names, shapes, non-finite values) raises ``CheckpointError`` before the
@@ -244,18 +190,17 @@ def load_checkpoint(path):
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"checkpoint {path} is not valid JSON: {exc}") from None
 
+    if not isinstance(doc, dict):
+        raise CheckpointError(f"checkpoint {path} is not a JSON object")
     version = doc.get("format_version")
     if version != CHECKPOINT_FORMAT_VERSION:
         raise CheckpointError(
             f"checkpoint {path} has format_version {version!r}; "
             f"this build reads {CHECKPOINT_FORMAT_VERSION}")
-    for key in ("arch_name", "seed", "epoch", "tensors"):
+    for key in ("spec", "seed", "epoch", "tensors"):
         if key not in doc:
             raise CheckpointError(f"checkpoint {path} is missing field {key!r}")
-    try:
-        base_spec = parse_arch_name(doc["arch_name"])
-    except ValueError as exc:
-        raise CheckpointError(str(exc)) from None
+    spec = _spec_from(doc["spec"], path)
 
     stored = {}
     for entry in doc["tensors"]:
@@ -268,18 +213,17 @@ def load_checkpoint(path):
             raise CheckpointError(f"tensor {entry['name']!r} has non-finite values")
         stored[entry["name"]] = arr.reshape(shape)
 
-    spec = _infer_spec(base_spec, {name: a.shape for name, a in stored.items()})
     try:
         model = build(spec, seed=doc["seed"])
     except ValueError as exc:
-        raise CheckpointError(f"cannot rebuild {doc['arch_name']}: {exc}") from None
+        raise CheckpointError(f"cannot rebuild {spec.arch_name}: {exc}") from None
 
     expected = dict(model.named_params())
     if set(stored) != set(expected):
         missing = sorted(set(expected) - set(stored))
         extra = sorted(set(stored) - set(expected))
         raise CheckpointError(
-            f"tensor names do not match {doc['arch_name']}: "
+            f"tensor names do not match {spec.arch_name}: "
             f"missing {missing}, unexpected {extra}")
     for name, p in expected.items():
         if stored[name].shape != p.value.shape:
@@ -288,6 +232,6 @@ def load_checkpoint(path):
                 f"expected {p.value.shape}")
     for name, p in expected.items():
         p.value[...] = stored[name]
-    meta = CheckpointMeta(arch_name=doc["arch_name"], seed=int(doc["seed"]),
+    meta = CheckpointMeta(arch_name=spec.arch_name, seed=int(doc["seed"]),
                           epoch=int(doc["epoch"]))
     return model, meta

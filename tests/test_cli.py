@@ -1,12 +1,14 @@
 """End-to-end tests for the command line front end."""
 
+import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polarlab import cli
 from polarlab import evaluation as ev
-from polarlab.training import load_checkpoint, TrainTrace
+from polarlab.training import TraceRow, TrainConfig, load_checkpoint
 
 
 def write_config(tmp_path, **overrides):
@@ -40,9 +42,9 @@ def test_train_writes_checkpoint_and_trace(tmp_path, capsys):
     assert meta.arch_name == "mlp-rnnd-8-4"
     assert meta.seed == 5
     assert meta.epoch == 3
-    trace = TrainTrace.read_csv(out / "trace.csv")
+    trace = ev.read_rows(out / "trace.csv", TraceRow)
     # 16 messages at batch 8 make 2 steps per epoch
-    assert len(trace.rows) == 6
+    assert len(trace) == 6
     lines = capsys.readouterr().out.splitlines()
     assert any(line.startswith("final loss:") for line in lines)
     assert any("checkpoint.json" in line for line in lines)
@@ -122,6 +124,57 @@ def test_config_bad_types_rejected(tmp_path):
                    "--out", str(tmp_path / "x")) == 2
 
 
+@pytest.mark.parametrize("command,bad", [
+    ("train", '{"train": {"lr": NaN}}'),
+    ("train", '{"train": {"train_ebn0_db": -Infinity}}'),
+    ("train", '{"train": {"eps": 1e999}}'),
+    ("train", '{"train": {"beta1": %d}}' % 10 ** 400),
+    ("ber", '{"eval": {"ebn0_db": [0.0, NaN]}}'),
+    ("pdf", '{"eval": {"pdf_ebn0_db": Infinity}}'),
+])
+def test_config_nonfinite_rejected(tmp_path, capsys, command, bad):
+    path = tmp_path / "config.json"
+    path.write_text(bad)
+    argv = [command, "--config", str(path), "--out", str(tmp_path / "x")]
+    if command == "pdf":
+        argv.append(str(tmp_path / "unused.json"))
+    assert run(*argv) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+
+
+def _section_of(keys):
+    return st.dictionaries(st.sampled_from(keys + ["junk"]), _JSON, max_size=4) | _JSON
+
+
+_CONFIGS = _JSON | st.fixed_dictionaries({}, optional={
+    "code": _section_of(["N", "K"]),
+    "arch": _JSON,
+    "train": _section_of([f.name for f in dataclasses.fields(TrainConfig)]),
+    "eval": _section_of([f.name for f in dataclasses.fields(cli.EvalSettings)]),
+    "out": _JSON,
+    "seed": _JSON,
+})
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_CONFIGS)
+def test_load_config_any_json_gives_settings_or_usage_error(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "fuzz_config.json"
+    path.write_text(json.dumps(doc))
+    try:
+        assert isinstance(cli.load_config(str(path)), cli.Settings)
+    except cli.UsageError:
+        pass
+
+
 def test_config_invalid_json(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text("{not json")
@@ -155,7 +208,7 @@ def test_ber_sc_only(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out = tmp_path / "ber"
     assert run("ber", "--config", cfg, "--out", str(out)) == 0
-    rows = ev.read_ber_csv(out / "ber.csv")
+    rows = ev.read_rows(out / "ber.csv", ev.BerRow)
     assert [r.decoder for r in rows] == ["sc", "sc"]
     assert [r.ebn0_db for r in rows] == [0.0, 2.0]
 
@@ -164,7 +217,7 @@ def test_ber_with_checkpoint_pairs_frames(trained, tmp_path):
     cfg, ckpt, _ = trained
     out = tmp_path / "ber"
     assert run("ber", "--config", cfg, "--out", str(out), ckpt) == 0
-    rows = ev.read_ber_csv(out / "ber.csv")
+    rows = ev.read_rows(out / "ber.csv", ev.BerRow)
     assert [r.decoder for r in rows] == ["sc", "sc",
                                          "mlp-rnnd-8-4", "mlp-rnnd-8-4"]
     by_decoder = {}
@@ -222,7 +275,7 @@ def test_snr_end_to_end(trained, tmp_path):
     cfg, ckpt, _ = trained
     out = tmp_path / "snr"
     assert run("snr", "--config", cfg, "--out", str(out), ckpt) == 0
-    rows = ev.read_snr_csv(out / "snr.csv")
+    rows = ev.read_rows(out / "snr.csv", ev.SnrRow)
     assert [r.ebn0_db for r in rows] == [0.0, 2.0]
 
 
@@ -247,7 +300,7 @@ def test_pdf_end_to_end(trained, tmp_path):
     cfg, ckpt, _ = trained
     out = tmp_path / "pdf"
     assert run("pdf", "--config", cfg, "--out", str(out), ckpt) == 0
-    rows = ev.read_pdf_csv(out / "pdf.csv")
+    rows = ev.read_rows(out / "pdf.csv", ev.HistRow)
     assert len(rows) == 80
     width = 0.1
     integral = sum(r.density_received for r in rows) * width
@@ -258,7 +311,7 @@ def test_bench_end_to_end(trained, tmp_path):
     cfg, ckpt, _ = trained
     out = tmp_path / "bench"
     assert run("bench", "--config", cfg, "--out", str(out), ckpt) == 0
-    rows = ev.read_timing_csv(out / "timing.csv")
+    rows = ev.read_rows(out / "timing.csv", ev.TimingRow)
     assert [r.decoder for r in rows] == ["sc", "mlp-rnnd-8-4"]
     assert all(r.frames == 16 for r in rows)
 

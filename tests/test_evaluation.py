@@ -1,15 +1,18 @@
 """Tests for the Monte-Carlo evaluation harness and its CSV formats."""
 
 import ctypes
+import dataclasses
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polarlab import evaluation as ev
 from polarlab import polar
 from polarlab.models import ModelSpec, build
 from polarlab.nn import zero_grads
+from polarlab.training import TraceRow
 
 CODE = polar.construct_code(16, 8)
 
@@ -381,8 +384,8 @@ def test_ber_csv_round_trip(tmp_path):
     rows = [ev.BerRow("sc", 1.5, 2048, 77, 77 / (2048 * 8)),
             ev.BerRow("mlp-rnnd-16-8", 2.0, 4096, 0, 0.0)]
     path = tmp_path / "ber.csv"
-    ev.write_ber_csv(path, rows)
-    assert ev.read_ber_csv(path) == rows
+    ev.write_rows(path, ev.BerRow, rows)
+    assert ev.read_rows(path, ev.BerRow) == rows
     header = path.read_text().splitlines()[0]
     assert header == "decoder,ebn0_db,frames,bit_errors,ber"
 
@@ -390,8 +393,8 @@ def test_ber_csv_round_trip(tmp_path):
 def test_snr_csv_round_trip(tmp_path):
     rows = [ev.SnrRow(0.0, 0.0123456789012345678, 2.5)]
     path = tmp_path / "snr.csv"
-    ev.write_snr_csv(path, rows)
-    assert ev.read_snr_csv(path) == rows
+    ev.write_rows(path, ev.SnrRow, rows)
+    assert ev.read_rows(path, ev.SnrRow) == rows
     header = path.read_text().splitlines()[0]
     assert header == "ebn0_db,input_snr_db,output_snr_db"
 
@@ -400,8 +403,8 @@ def test_pdf_csv_round_trip(tmp_path):
     rows = ev.pdf_hist(tiny_model(), CODE, 0.0, frames=64,
                        rng=np.random.default_rng(5))
     path = tmp_path / "pdf.csv"
-    ev.write_pdf_csv(path, rows)
-    assert ev.read_pdf_csv(path) == rows
+    ev.write_rows(path, ev.HistRow, rows)
+    assert ev.read_rows(path, ev.HistRow) == rows
     header = path.read_text().splitlines()[0]
     assert header == "bin_left,bin_right,density_received,density_denoised"
 
@@ -409,8 +412,8 @@ def test_pdf_csv_round_trip(tmp_path):
 def test_timing_csv_round_trip(tmp_path):
     rows = [ev.TimingRow("sc", 100, 1.25, 0.0125, 1)]
     path = tmp_path / "timing.csv"
-    ev.write_timing_csv(path, rows)
-    assert ev.read_timing_csv(path) == rows
+    ev.write_rows(path, ev.TimingRow, rows)
+    assert ev.read_rows(path, ev.TimingRow) == rows
     header = path.read_text().splitlines()[0]
     assert header == "decoder,frames,total_time_s,per_frame_s,batch"
 
@@ -419,4 +422,67 @@ def test_csv_header_mismatch_rejected(tmp_path):
     path = tmp_path / "ber.csv"
     path.write_text("wrong,header\n")
     with pytest.raises(ValueError, match="header"):
-        ev.read_ber_csv(path)
+        ev.read_rows(path, ev.BerRow)
+
+
+BER_HEAD = "decoder,ebn0_db,frames,bit_errors,ber\r\n"
+
+
+@pytest.mark.parametrize("text,where", [
+    ("", "line 1: no header"),
+    ("decoder,ebn0_db,frames,bit_errors\r\n", "line 1: header"),
+    (BER_HEAD + "sc,0.0,10,1,0.0125\r\nsc,1.0,10,1\r\n", "line 3: 4 fields"),
+    (BER_HEAD + "sc,0.0,10,1,0.0125,7\r\n", "line 2: 6 fields"),
+    (BER_HEAD + "sc,0.0,ten,1,0.0125\r\n", "line 2: invalid literal"),
+], ids=["empty", "header", "short-row", "long-row", "bad-value"])
+def test_csv_reader_names_file_and_line(tmp_path, text, where):
+    path = tmp_path / "ber.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(ValueError, match=f"ber.csv, {where}"):
+        ev.read_rows(path, ev.BerRow)
+
+
+def test_csv_bytes_golden(tmp_path):
+    big = 2 ** 70 + 1
+    cases = [
+        (ev.BerRow("sc", -0.0, big, 3, 5e-324),
+         "decoder,ebn0_db,frames,bit_errors,ber\r\n"
+         "sc,-0.0,1180591620717411303425,3,5e-324\r\n"),
+        (ev.SnrRow(np.float64(0.1), 1 / 3, 1e308),
+         "ebn0_db,input_snr_db,output_snr_db\r\n"
+         "0.1,0.3333333333333333,1e+308\r\n"),
+        (ev.HistRow(-0.0, 0.1, np.float64(1 / 3), 5e-324),
+         "bin_left,bin_right,density_received,density_denoised\r\n"
+         "-0.0,0.1,0.3333333333333333,5e-324\r\n"),
+        (ev.TimingRow("cnn-rnnd-16-8", big, 1e308, np.float64(5e-324), 2 ** 40),
+         "decoder,frames,total_time_s,per_frame_s,batch\r\n"
+         "cnn-rnnd-16-8,1180591620717411303425,1e+308,5e-324,1099511627776\r\n"),
+        (TraceRow(big, 2 ** 53 + 1, 0.1, -0.0, 1 / 3),
+         "epoch,step,total_loss,denoise_loss,decode_loss\r\n"
+         "1180591620717411303425,9007199254740993,0.1,-0.0,0.3333333333333333\r\n"),
+    ]
+    for row, expected in cases:
+        path = tmp_path / f"{type(row).__name__}.csv"
+        ev.write_rows(path, type(row), [row])
+        assert path.read_bytes() == expected.encode()
+
+
+_VALUES = {
+    str: st.from_regex(r"[a-z0-9-]+", fullmatch=True),
+    int: st.integers(min_value=-2 ** 100, max_value=2 ** 100),
+    float: st.floats(allow_nan=False, allow_infinity=False),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_csv_rows_round_trip_exactly(tmp_path_factory, data):
+    row_type = data.draw(st.sampled_from(
+        [ev.BerRow, ev.SnrRow, ev.HistRow, ev.TimingRow, TraceRow]))
+    rows = data.draw(st.lists(st.builds(
+        row_type, *(_VALUES[f.type] for f in dataclasses.fields(row_type))),
+        max_size=4))
+    path = tmp_path_factory.getbasetemp() / "round_trip.csv"
+    ev.write_rows(path, row_type, rows)
+    # repr tells -0.0 from 0.0 and 1 from 1.0, which == does not
+    assert [repr(r) for r in ev.read_rows(path, row_type)] == [repr(r) for r in rows]

@@ -5,14 +5,15 @@ import json
 import numpy as np
 import pytest
 
+from polarlab.evaluation import read_rows, write_rows
 from polarlab.models import ModelSpec, build
 from polarlab.nn import Adam
 from polarlab.polar import construct_code, ebn0_to_sigma
 from polarlab.training import (
     CheckpointError,
     TrainConfig,
+    TraceRow,
     TrainingDiverged,
-    TrainTrace,
     gen_dataset,
     load_checkpoint,
     save_checkpoint,
@@ -156,14 +157,31 @@ def test_epoch_callback_cadence():
 
 # ------------------------------------------------------------------ checkpoints
 
-def test_checkpoint_round_trip(tmp_path):
-    model, ds = toy_setup(seed=6)
-    train(model, ds, TrainConfig(epochs=3, seed=6))
+@pytest.mark.parametrize("spec", [
+    pytest.param(TOY_SPEC, id="mlp-rnnd-32x16x8"),
+    pytest.param(ModelSpec("mlp", "rnnd", N=8, K=4, mlp_hidden=(8, 6)),
+                 id="mlp-rnnd-8x6"),
+    pytest.param(ModelSpec("mlp", "nnd", N=8, K=4, mlp_hidden=(8, 6, 5, 4)),
+                 id="mlp-nnd-8x6x5x4"),
+    pytest.param(ModelSpec("cnn", "rnnd", N=8, K=4, cnn_denoiser_channels=(3, 4, 2),
+                           cnn_decoder_channels=(5, 2, 3)), id="cnn-rnnd"),
+    pytest.param(ModelSpec("cnn", "nnd", N=16, K=8, cnn_denoiser_channels=(3, 4, 2),
+                           cnn_decoder_channels=(5, 2, 3)), id="cnn-nnd"),
+    pytest.param(ModelSpec("rnn", "rnnd", N=8, K=4, rnn_denoiser_hidden=5,
+                           rnn_decoder_hidden=3), id="rnn-rnnd"),
+    pytest.param(ModelSpec("rnn", "nnd", N=8, K=4, rnn_denoiser_hidden=3,
+                           rnn_decoder_hidden=5), id="rnn-nnd"),
+])
+def test_checkpoint_round_trip(tmp_path, spec):
+    model = build(spec, seed=6)
+    train(model, gen_dataset(construct_code(spec.N, spec.K)),
+          TrainConfig(epochs=3, seed=6))
     path = tmp_path / "ckpt.json"
     save_checkpoint(model, path, seed=6, epoch=3)
 
     loaded, meta = load_checkpoint(path)
-    assert meta.arch_name == "mlp-rnnd-8-4"
+    assert loaded.spec == spec
+    assert meta.arch_name == spec.arch_name
     assert meta.seed == 6 and meta.epoch == 3
     for (n1, p1), (n2, p2) in zip(model.named_params(), loaded.named_params()):
         assert n1 == n2
@@ -175,12 +193,13 @@ def test_checkpoint_round_trip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
-def test_checkpoint_rejects_bad_version(tmp_path):
+@pytest.mark.parametrize("version", [99, 1])
+def test_checkpoint_rejects_bad_version(tmp_path, version):
     model, _ = toy_setup()
     path = tmp_path / "ckpt.json"
     save_checkpoint(model, path, seed=0, epoch=0)
     doc = json.loads(path.read_text())
-    doc["format_version"] = 99
+    doc["format_version"] = version
     path.write_text(json.dumps(doc))
     with pytest.raises(CheckpointError, match="format_version"):
         load_checkpoint(path)
@@ -199,16 +218,16 @@ def test_checkpoint_rejects_shape_and_name_tampering(tmp_path):
 
     save_checkpoint(model, path, seed=0, epoch=0)
     doc = json.loads(path.read_text())
-    doc["tensors"][1]["name"] = "nonsense"  # a bias; width inference ignores it
+    doc["tensors"][1]["name"] = "nonsense"  # a bias
     path.write_text(json.dumps(doc))
     with pytest.raises(CheckpointError, match="names do not match"):
         load_checkpoint(path)
 
     save_checkpoint(model, path, seed=0, epoch=0)
     doc = json.loads(path.read_text())
-    doc["tensors"][0]["name"] = "nonsense"  # a width-bearing weight
+    doc["tensors"][0]["name"] = "nonsense"  # a weight
     path.write_text(json.dumps(doc))
-    with pytest.raises(CheckpointError, match="lacks tensor"):
+    with pytest.raises(CheckpointError, match="names do not match"):
         load_checkpoint(path)
 
 
@@ -235,7 +254,51 @@ def test_checkpoint_arch_must_be_known(tmp_path):
     path = tmp_path / "ckpt.json"
     save_checkpoint(model, path, seed=0, epoch=0)
     doc = json.loads(path.read_text())
-    doc["arch_name"] = "gru-nnd-8-4"
+    doc["spec"]["family"] = "gru"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError, match="bad spec"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda spec: spec.update(dropout=0.5),
+    lambda spec: spec.update(mlp_hidden=[32, 16.5, 8]),
+    lambda spec: spec.update(mlp_hidden=[32, "16", 8]),
+    lambda spec: spec.update(rnn_decoder_hidden=True),
+    lambda spec: spec.update(mlp_hidden=32),
+    lambda spec: spec.update(N=None),
+    lambda spec: spec.pop("family"),
+    lambda spec: spec.clear(),
+], ids=["unknown-key", "float-width", "str-width", "bool-width", "scalar-widths",
+        "null-N", "no-family", "empty"])
+def test_checkpoint_rejects_malformed_spec(tmp_path, edit):
+    model, _ = toy_setup()
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(model, path, seed=0, epoch=0)
+    doc = json.loads(path.read_text())
+    edit(doc["spec"])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError, match="bad spec"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_ignores_unknown_top_level_keys(tmp_path):
+    # later additions (e.g. resume state) extend version 2 this way
+    model, _ = toy_setup()
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(model, path, seed=0, epoch=0)
+    doc = json.loads(path.read_text())
+    doc["resume"] = {"step": 3}
+    path.write_text(json.dumps(doc))
+    loaded, _ = load_checkpoint(path)
+    assert loaded.spec == TOY_SPEC
+
+
+@pytest.mark.parametrize("doc", [[], {"format_version": 2, "spec": "mlp-rnnd-8-4",
+                                      "seed": 0, "epoch": 0, "tensors": []}],
+                         ids=["not-an-object", "spec-not-an-object"])
+def test_checkpoint_rejects_malformed_document(tmp_path, doc):
+    path = tmp_path / "ckpt.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
@@ -247,8 +310,7 @@ def test_trace_csv_round_trip(tmp_path):
     model, ds = toy_setup(seed=7)
     trace = train(model, ds, TrainConfig(epochs=2, seed=7))
     path = tmp_path / "trace.csv"
-    trace.write_csv(path)
+    write_rows(path, TraceRow, trace.rows)
     header = path.read_text().splitlines()[0]
     assert header == "epoch,step,total_loss,denoise_loss,decode_loss"
-    back = TrainTrace.read_csv(path)
-    assert [vars(r) for r in back.rows] == [vars(r) for r in trace.rows]
+    assert read_rows(path, TraceRow) == trace.rows
