@@ -8,8 +8,11 @@ Every file-writing command refuses to overwrite existing outputs unless
 config file, then command line flags, in that order. ``POLARLAB_LOG``
 selects the log level (debug/info/warning/error).
 
-Exit codes: 0 success, 2 usage or configuration problem (including
-overwrite refusal), 3 runtime failure.
+Each command checks all of its input (config, flags, arch, code,
+checkpoints) before it creates its output directory, so a refused run
+leaves no files. ``main`` alone maps exceptions to exit codes: 0 success;
+2 ``UsageError`` (usage, config, overwrite refusal) or ``CheckpointError``;
+3 ``TrainingDiverged``, ``OSError`` or any other ``ValueError``.
 """
 
 import argparse
@@ -24,7 +27,7 @@ from dataclasses import dataclass, replace
 
 from polarlab import evaluation as ev
 from polarlab import polar
-from polarlab.models import FAMILIES, VARIANTS, ModelSpec, parse_arch_name, build
+from polarlab.models import FAMILIES, VARIANTS, parse_arch_name, build
 from polarlab.nn import param_count
 from polarlab.training import (TrainConfig, TrainingDiverged, CheckpointError,
                                TraceRow, gen_dataset, train, save_checkpoint,
@@ -52,6 +55,14 @@ class EvalSettings:
     batch: int = 1024
     bench_frames: int = 512
 
+    def __post_init__(self):
+        # StopRule checks min_bit_errors and max_frames
+        ev.StopRule(min_bit_errors=self.min_bit_errors, max_frames=self.max_frames)
+        for key, least in (("frames", 1), ("batch", 1), ("bench_frames", 1),
+                           ("bins", 10)):
+            if getattr(self, key) < least:
+                raise ValueError(f"{key} must be >= {least}, got {getattr(self, key)}")
+
 
 @dataclass(frozen=True)
 class Settings:
@@ -62,6 +73,10 @@ class Settings:
     eval: EvalSettings = EvalSettings()
     out: str = "out"
     seed: int = 0
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise UsageError(f"seed must be non-negative, got {self.seed}")
 
 
 _CODE_KEYS = ("N", "K")
@@ -134,21 +149,23 @@ def load_config(path):
         values["train"] = _section(raw["train"], "train", TrainConfig, skip=("seed",))
     if "eval" in raw:
         values["eval"] = _section(raw["eval"], "eval", EvalSettings)
-    settings = Settings(**values)
-    if settings.seed < 0:
-        raise UsageError(f"seed must be non-negative, got {settings.seed}")
-    return settings
+    return Settings(**values)
 
 
 def _settings_from_args(args):
+    """``(settings, code)`` from the config file, overridden by the flags."""
     settings = load_config(args.config) if args.config else Settings()
-    if getattr(args, "out", None):
+    if args.out:
         settings = replace(settings, out=args.out)
-    if getattr(args, "seed", None) is not None:
-        if args.seed < 0:
-            raise UsageError(f"seed must be non-negative, got {args.seed}")
+    if args.seed is not None:
         settings = replace(settings, seed=args.seed)
-    return settings
+    if getattr(args, "workers", 1) < 1:
+        raise UsageError(f"--workers must be >= 1, got {args.workers}")
+    try:
+        code = polar.construct_code(settings.N, settings.K)
+    except ValueError as exc:
+        raise UsageError(f"bad code: {exc}") from exc
+    return settings, code
 
 
 def _resolve_spec(arch, code=None):
@@ -158,18 +175,18 @@ def _resolve_spec(arch, code=None):
         spec = (parse_arch_name(arch) if code is None
                 else parse_arch_name(arch, code.N, code.K))
     except ValueError as exc:
-        raise UsageError(f"{exc}; family is one of {FAMILIES} and variant "
-                         f"one of {VARIANTS}") from exc
+        raise UsageError(f"bad architecture name {arch!r}: {exc}; family is "
+                         f"one of {FAMILIES} and variant one of {VARIANTS}") from exc
     if code is not None and (spec.N, spec.K) != (code.N, code.K):
         raise UsageError(f"arch {arch} does not match code ({code.N}, {code.K})")
     return spec
 
 
-def _make_code(settings):
+def _codebook(code):
     try:
-        return polar.construct_code(settings.N, settings.K)
+        return gen_dataset(code)
     except ValueError as exc:
-        raise UsageError(f"bad code: {exc}") from exc
+        raise UsageError(f"cannot train on code ({code.N}, {code.K}): {exc}") from exc
 
 
 def _prepare_out(settings, filenames, force):
@@ -183,10 +200,7 @@ def _prepare_out(settings, filenames, force):
 
 
 def _load_model(path, code):
-    try:
-        model, meta = load_checkpoint(path)
-    except CheckpointError as exc:
-        raise UsageError(f"checkpoint {path}: {exc}") from exc
+    model, meta = load_checkpoint(path)
     if (model.spec.N, model.spec.K) != (code.N, code.K):
         raise UsageError(f"checkpoint {path} is for code "
                          f"({model.spec.N}, {model.spec.K}), expected "
@@ -195,22 +209,32 @@ def _load_model(path, code):
     return model
 
 
+def _decoders(paths, code):
+    """SC, then one decoder per checkpoint in ``paths``."""
+    return [ev.ScDecoder(code)] + [ev.ModelDecoder(_load_model(p, code))
+                                   for p in paths]
+
+
+def _load_denoiser(path, code):
+    model = _load_model(path, code)
+    if model.denoiser is None:
+        raise UsageError(f"checkpoint {path} holds {model.spec.arch_name}, "
+                         "which has no denoiser stage (rnnd variants only)")
+    return model
+
+
 def _eval_rng(seed):
     return np.random.default_rng(np.random.SeedSequence([seed, EVAL_STREAM]))
 
 
 def cmd_train(args):
-    settings = _settings_from_args(args)
-    code = _make_code(settings)
+    settings, code = _settings_from_args(args)
     spec = _resolve_spec(settings.arch, code)
+    dataset = _codebook(code)
+    model = build(spec, seed=settings.seed)
+    config = replace(settings.train, seed=settings.seed)
     ckpt_path, trace_path = _prepare_out(
         settings, ["checkpoint.json", "trace.csv"], args.force)
-    config = replace(settings.train, seed=settings.seed)
-    try:
-        model = build(spec, seed=settings.seed)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    dataset = gen_dataset(code)
     log.info("training %s for %d epochs (seed %d)",
              spec.arch_name, config.epochs, settings.seed)
 
@@ -233,13 +257,11 @@ def cmd_train(args):
 
 
 def cmd_ber(args):
-    settings = _settings_from_args(args)
-    code = _make_code(settings)
-    (out_path,) = _prepare_out(settings, ["ber.csv"], args.force)
-    decoders = [ev.ScDecoder(code)]
-    decoders += [ev.ModelDecoder(_load_model(p, code)) for p in args.checkpoints]
+    settings, code = _settings_from_args(args)
+    decoders = _decoders(args.checkpoints, code)
     stop = ev.StopRule(min_bit_errors=settings.eval.min_bit_errors,
                        max_frames=settings.eval.max_frames)
+    (out_path,) = _prepare_out(settings, ["ber.csv"], args.force)
     rows = []
     for decoder in decoders:
         # a fresh generator per decoder pairs every decoder on the same frames
@@ -252,42 +274,32 @@ def cmd_ber(args):
 
 
 def cmd_snr(args):
-    settings = _settings_from_args(args)
-    code = _make_code(settings)
+    settings, code = _settings_from_args(args)
+    model = _load_denoiser(args.checkpoint, code)
     (out_path,) = _prepare_out(settings, ["snr.csv"], args.force)
-    model = _load_model(args.checkpoint, code)
-    try:
-        rows = ev.snr_gain(model, code, settings.eval.ebn0_db,
-                           settings.eval.frames, rng=_eval_rng(settings.seed))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    rows = ev.snr_gain(model, code, settings.eval.ebn0_db,
+                       settings.eval.frames, rng=_eval_rng(settings.seed))
     ev.write_rows(out_path, ev.SnrRow, rows)
     print(f"wrote {out_path}")
     return 0
 
 
 def cmd_pdf(args):
-    settings = _settings_from_args(args)
-    code = _make_code(settings)
+    settings, code = _settings_from_args(args)
+    model = _load_denoiser(args.checkpoint, code)
     (out_path,) = _prepare_out(settings, ["pdf.csv"], args.force)
-    model = _load_model(args.checkpoint, code)
-    try:
-        rows = ev.pdf_hist(model, code, settings.eval.pdf_ebn0_db,
-                           settings.eval.frames, rng=_eval_rng(settings.seed),
-                           bins=settings.eval.bins)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    rows = ev.pdf_hist(model, code, settings.eval.pdf_ebn0_db,
+                       settings.eval.frames, rng=_eval_rng(settings.seed),
+                       bins=settings.eval.bins)
     ev.write_rows(out_path, ev.HistRow, rows)
     print(f"wrote {out_path}")
     return 0
 
 
 def cmd_bench(args):
-    settings = _settings_from_args(args)
-    code = _make_code(settings)
+    settings, code = _settings_from_args(args)
+    decoders = _decoders(args.checkpoints, code)
     (out_path,) = _prepare_out(settings, ["timing.csv"], args.force)
-    decoders = [ev.ScDecoder(code)]
-    decoders += [ev.ModelDecoder(_load_model(p, code)) for p in args.checkpoints]
     rows = ev.timing_bench(code, decoders, settings.eval.bench_frames,
                            batch=settings.eval.batch,
                            rng=_eval_rng(settings.seed))
@@ -301,13 +313,8 @@ def cmd_params(args):
         names = args.archs
     else:
         names = [f"{fam}-{var}-16-8" for fam in FAMILIES for var in VARIANTS]
-    for name in names:
-        spec = _resolve_spec(name)
-        try:
-            model = build(spec, seed=0)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        print(f"{spec.arch_name} {param_count(model)}")
+    for spec in [_resolve_spec(name) for name in names]:
+        print(f"{spec.arch_name} {param_count(build(spec, seed=0))}")
     return 0
 
 
@@ -373,13 +380,10 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ValueError) as exc:
+    except (UsageError, CheckpointError) as exc:
         print(f"polarlab: error: {exc}", file=sys.stderr)
         return 2
-    except TrainingDiverged as exc:
-        print(f"polarlab: training diverged: {exc}", file=sys.stderr)
-        return 3
-    except (CheckpointError, OSError) as exc:
+    except (TrainingDiverged, OSError, ValueError) as exc:
         print(f"polarlab: error: {exc}", file=sys.stderr)
         return 3
 

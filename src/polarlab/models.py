@@ -98,6 +98,11 @@ class ModelSpec:
             raise ValueError(f"sizes and widths must be positive integers: {self}")
         if not 1 <= self.K <= self.N:
             raise ValueError(f"need 1 <= K <= N, got K={self.K}, N={self.N}")
+        # a cnn trunk pools twice; an NND stack runs two trunks in series
+        shrink = 4 if self.variant == "rnnd" else 16
+        if self.family == "cnn" and self.N % shrink:
+            raise ValueError(f"cnn-{self.variant} pools by {shrink}, so N must "
+                             f"be divisible by {shrink}, got N={self.N}")
 
     @property
     def arch_name(self):
@@ -108,14 +113,11 @@ def parse_arch_name(name, N=16, K=8):
     """Inverse of ``ModelSpec.arch_name`` for the default dimension table; a
     short 'family-variant' name takes the code size ``N``, ``K``."""
     parts = name.split("-")
-    try:
-        if len(parts) == 4:
-            N, K = int(parts[2]), int(parts[3])
-        elif len(parts) != 2:
-            raise ValueError("want family-variant or family-variant-N-K")
-        return ModelSpec(family=parts[0], variant=parts[1], N=N, K=K)
-    except ValueError as exc:
-        raise ValueError(f"bad architecture name {name!r}: {exc}") from None
+    if len(parts) == 4:
+        N, K = int(parts[2]), int(parts[3])
+    elif len(parts) != 2:
+        raise ValueError("want family-variant or family-variant-N-K")
+    return ModelSpec(family=parts[0], variant=parts[1], N=N, K=K)
 
 
 @dataclass
@@ -150,9 +152,6 @@ def _cnn_trunk(c_in, channels, rng):
 def _cnn_stack(n, trunks, dims_out, rng, sigmoid):
     """One conv trunk per channel triple in ``trunks``, in series."""
     shrink = 4 ** len(trunks)
-    if n % shrink != 0:
-        raise ValueError(f"cnn stacks pool {2 * len(trunks)} times; N must be "
-                         f"divisible by {shrink}, got {n}")
     layers = [AsChannels()]
     c_in = 1
     for channels in trunks:

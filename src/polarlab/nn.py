@@ -62,18 +62,17 @@ class Conv1D(Layer):
     """Channel-wise 1-D cross-correlation, kernel 3, zero padding 1.
 
     Input and output are (batch, channels, length); the length is preserved.
-    Kernel tensor has shape (in_channels, out_channels, kernel).
+    Kernel tensor has shape (in_channels, out_channels, KERNEL).
     """
 
-    def __init__(self, c_in, c_out, rng, kernel=3, pad=1):
-        if kernel != 2 * pad + 1:
-            raise ValueError("padding must preserve length (kernel = 2*pad + 1)")
-        fan_in, fan_out = c_in * kernel, c_out * kernel
+    KERNEL = 3
+    PAD = 1
+
+    def __init__(self, c_in, c_out, rng):
+        fan_in, fan_out = c_in * self.KERNEL, c_out * self.KERNEL
         self.w = Param.zeros_like(
-            "W", glorot_uniform(rng, (c_in, c_out, kernel), fan_in, fan_out))
+            "W", glorot_uniform(rng, (c_in, c_out, self.KERNEL), fan_in, fan_out))
         self.b = Param.zeros_like("b", np.zeros(c_out))
-        self.kernel = kernel
-        self.pad = pad
 
     def params(self):
         return [self.w, self.b]
@@ -83,10 +82,10 @@ class Conv1D(Layer):
             raise ValueError(
                 f"expected (batch, {self.w.value.shape[0]}, length), got {x.shape}")
         batch, _, length = x.shape
-        xp = np.pad(x, ((0, 0), (0, 0), (self.pad, self.pad)))
+        xp = np.pad(x, ((0, 0), (0, 0), (self.PAD, self.PAD)))
         self._xp, self._length = xp, length
         out = np.zeros((batch, length, self.w.value.shape[1]))
-        for k in range(self.kernel):
+        for k in range(self.KERNEL):
             out += np.tensordot(xp[:, :, k:k + length], self.w.value[:, :, k],
                                 axes=([1], [0]))
         return out.transpose(0, 2, 1) + self.b.value[None, :, None]
@@ -95,12 +94,12 @@ class Conv1D(Layer):
         length = self._length
         dt = dout.transpose(0, 2, 1)
         dxp = np.zeros_like(self._xp)
-        for k in range(self.kernel):
+        for k in range(self.KERNEL):
             self.w.grad[:, :, k] += np.tensordot(
                 self._xp[:, :, k:k + length], dt, axes=([0, 2], [0, 1]))
             dxp[:, :, k:k + length] += (dt @ self.w.value[:, :, k].T).transpose(0, 2, 1)
         self.b.grad += dout.sum(axis=(0, 2))
-        return dxp[:, :, self.pad:self.pad + length]
+        return dxp[:, :, self.PAD:self.PAD + length]
 
 
 class MaxPool1D(Layer):
@@ -131,8 +130,8 @@ class ReLU(Layer):
 
 class Sigmoid(Layer):
     def forward(self, x):
-        self._y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                           np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+        e = np.exp(-np.abs(x))
+        self._y = np.where(x >= 0, 1.0, e) / (1.0 + e)
         return self._y
 
     def backward(self, dout):

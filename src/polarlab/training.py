@@ -123,8 +123,8 @@ def train(model, dataset, config, rng=None, epoch_callback=None):
             y = s + sigma * rng.standard_normal(s.shape)
             values = model.loss(y, s, u, compute_grads=True)
             if not np.isfinite(values.total):
-                raise TrainingDiverged(
-                    f"non-finite loss {values.total} at epoch {epoch} step {step}")
+                raise TrainingDiverged(f"training diverged: non-finite loss "
+                                       f"{values.total} at epoch {epoch} step {step}")
             optimizer.step()
             if step % config.log_every == 0:
                 trace.rows.append(TraceRow(epoch, step, values.total,
@@ -142,17 +142,6 @@ class CheckpointMeta:
     arch_name: str
     seed: int
     epoch: int
-
-
-def _spec_from(raw, path):
-    """The ``ModelSpec`` stored in a checkpoint (JSON lists back to tuples)."""
-    if not isinstance(raw, dict):
-        raise CheckpointError(f"checkpoint {path} field 'spec' must be an object")
-    try:
-        return ModelSpec(**{key: tuple(v) if isinstance(v, list) else v
-                            for key, v in raw.items()})
-    except (TypeError, ValueError) as exc:
-        raise CheckpointError(f"checkpoint {path} has a bad spec: {exc}") from None
 
 
 def save_checkpoint(model, path, seed, epoch):
@@ -178,60 +167,68 @@ def load_checkpoint(path):
     """Rebuild the architecture the file's spec describes and restore its
     tensors.
 
-    Returns ``(model, meta)``. Any structural mismatch (version, tensor
-    names, shapes, non-finite values) raises ``CheckpointError`` before the
-    model is touched.
+    Returns ``(model, meta)``. An unreadable or malformed file and any
+    mismatch with the spec (version, tensor names, shapes, non-finite
+    values) raise ``CheckpointError`` naming ``path``.
     """
+    def error(msg):
+        return CheckpointError(f"checkpoint {path}: {msg}")
+
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except OSError as exc:
-        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from None
+        raise error(f"cannot read: {exc}") from None
     except json.JSONDecodeError as exc:
-        raise CheckpointError(f"checkpoint {path} is not valid JSON: {exc}") from None
+        raise error(f"not valid JSON: {exc}") from None
 
     if not isinstance(doc, dict):
-        raise CheckpointError(f"checkpoint {path} is not a JSON object")
+        raise error("not a JSON object")
     version = doc.get("format_version")
     if version != CHECKPOINT_FORMAT_VERSION:
-        raise CheckpointError(
-            f"checkpoint {path} has format_version {version!r}; "
-            f"this build reads {CHECKPOINT_FORMAT_VERSION}")
-    for key in ("spec", "seed", "epoch", "tensors"):
-        if key not in doc:
-            raise CheckpointError(f"checkpoint {path} is missing field {key!r}")
-    spec = _spec_from(doc["spec"], path)
+        raise error(f"format_version {version!r}; this build reads "
+                    f"{CHECKPOINT_FORMAT_VERSION}")
+    for key in ("seed", "epoch"):
+        if type(doc.get(key)) is not int or doc[key] < 0:
+            raise error(f"field {key!r} must be a non-negative integer, "
+                        f"got {doc.get(key)!r}")
+    if not isinstance(doc.get("spec"), dict):
+        raise error("field 'spec' must be an object")
+    try:
+        # JSON lists back to tuples
+        spec = ModelSpec(**{key: tuple(v) if isinstance(v, list) else v
+                            for key, v in doc["spec"].items()})
+    except (TypeError, ValueError) as exc:
+        raise error(f"bad spec: {exc}") from None
+    if not isinstance(doc.get("tensors"), list):
+        raise error("field 'tensors' must be a list")
 
     stored = {}
-    for entry in doc["tensors"]:
-        arr = np.asarray(entry["values"], dtype=np.float64)
-        shape = tuple(entry["shape"])
-        if arr.size != int(np.prod(shape)):
-            raise CheckpointError(
-                f"tensor {entry['name']!r} has {arr.size} values for shape {shape}")
+    for idx, entry in enumerate(doc["tensors"]):
+        try:
+            name = entry["name"]
+            arr = np.asarray(entry["values"], dtype=np.float64)
+            arr = arr.reshape(tuple(entry["shape"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise error(f"tensor entry {idx} is malformed: {exc!r}") from None
+        if not isinstance(name, str) or name in stored:
+            raise error(f"tensor entry {idx} has a bad or repeated name {name!r}")
         if not np.isfinite(arr).all():
-            raise CheckpointError(f"tensor {entry['name']!r} has non-finite values")
-        stored[entry["name"]] = arr.reshape(shape)
+            raise error(f"tensor {name!r} has non-finite values")
+        stored[name] = arr
 
-    try:
-        model = build(spec, seed=doc["seed"])
-    except ValueError as exc:
-        raise CheckpointError(f"cannot rebuild {spec.arch_name}: {exc}") from None
-
+    model = build(spec, seed=doc["seed"])
     expected = dict(model.named_params())
     if set(stored) != set(expected):
         missing = sorted(set(expected) - set(stored))
         extra = sorted(set(stored) - set(expected))
-        raise CheckpointError(
-            f"tensor names do not match {spec.arch_name}: "
-            f"missing {missing}, unexpected {extra}")
+        raise error(f"tensor names do not match {spec.arch_name}: "
+                    f"missing {missing}, unexpected {extra}")
     for name, p in expected.items():
         if stored[name].shape != p.value.shape:
-            raise CheckpointError(
-                f"tensor {name!r} has shape {stored[name].shape}, "
-                f"expected {p.value.shape}")
-    for name, p in expected.items():
+            raise error(f"tensor {name!r} has shape {stored[name].shape}, "
+                        f"expected {p.value.shape}")
         p.value[...] = stored[name]
-    meta = CheckpointMeta(arch_name=spec.arch_name, seed=int(doc["seed"]),
-                          epoch=int(doc["epoch"]))
+    meta = CheckpointMeta(arch_name=spec.arch_name, seed=doc["seed"],
+                          epoch=doc["epoch"])
     return model, meta

@@ -6,14 +6,11 @@ the per-test PASSED/FAILED column gives the same one-line verdict.
 
 Criteria 5-8 share one desk-scale training protocol: full-codebook data
 in fixed order, identical seed, 2^12 epochs at train Eb/N0 0 dB. Models
-are trained once per session by fixtures and reused. Criterion 7 compares
-architectures whose head layouts are this library's own choices; setting
-``POLARLAB_WAIVE_ARCH_ORDER=1`` skips it and records the waiver.
+are trained once per session by fixtures and reused.
 """
 
 import json
 import math
-import os
 
 import numpy as np
 import pytest
@@ -221,17 +218,14 @@ def test_criterion_06_residual_vs_plain_ordering(code16, trained_mlp_rnnd,
 
 # --------------------------------------------------------------- criterion 7
 
-def test_criterion_07_architecture_ordering(code16, request):
-    if os.environ.get("POLARLAB_WAIVE_ARCH_ORDER") == "1":
-        pytest.skip("architecture ordering waived via POLARLAB_WAIVE_ARCH_ORDER=1 "
-                    "(convolutional/recurrent head layouts are this library's "
-                    "own choices)")
-    mlp = request.getfixturevalue("trained_mlp_rnnd")
-    cnn = request.getfixturevalue("trained_cnn_rnnd")
-    (mlp_row,) = ev.ber_eval(ev.ModelDecoder(mlp), code16, [5.0],
-                             stop=PAIRED_STOP, rng=np.random.default_rng(77))
-    (cnn_row,) = ev.ber_eval(ev.ModelDecoder(cnn), code16, [5.0],
-                             stop=PAIRED_STOP, rng=np.random.default_rng(77))
+def test_criterion_07_architecture_ordering(code16, trained_mlp_rnnd,
+                                            trained_cnn_rnnd):
+    (mlp_row,) = ev.ber_eval(ev.ModelDecoder(trained_mlp_rnnd), code16,
+                             [5.0], stop=PAIRED_STOP,
+                             rng=np.random.default_rng(77))
+    (cnn_row,) = ev.ber_eval(ev.ModelDecoder(trained_cnn_rnnd), code16,
+                             [5.0], stop=PAIRED_STOP,
+                             rng=np.random.default_rng(77))
     assert mlp_row.ber <= cnn_row.ber, \
         f"mlp {mlp_row.ber:.3e} > cnn {cnn_row.ber:.3e} at 5 dB"
     _passed(7, "architecture ordering")

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,15 +13,17 @@ from polarlab import evaluation as ev
 from polarlab.training import TraceRow, TrainConfig, load_checkpoint
 
 
+EVAL = {"ebn0_db": [0.0, 2.0], "min_bit_errors": 20, "max_frames": 6000,
+        "frames": 400, "bench_frames": 16, "batch": 8}
+
+
 def write_config(tmp_path, **overrides):
     """Small, fast config for a toy model; overrides merge at the top level."""
     cfg = {
         "code": {"N": 8, "K": 4},
         "arch": "mlp-rnnd",
         "train": {"batch_size": 8, "epochs": 3},
-        "eval": {"ebn0_db": [0.0, 2.0], "min_bit_errors": 20,
-                 "max_frames": 6000, "frames": 400, "bench_frames": 16,
-                 "batch": 8},
+        "eval": EVAL,
         "seed": 5,
     }
     cfg.update(overrides)
@@ -288,14 +292,6 @@ def test_snr_deterministic(trained, tmp_path):
     assert (out1 / "snr.csv").read_bytes() == (out2 / "snr.csv").read_bytes()
 
 
-def test_snr_rejects_decode_only_checkpoint(tmp_path):
-    cfg = write_config(tmp_path, arch="mlp-nnd")
-    out = tmp_path / "run"
-    assert run("train", "--config", cfg, "--out", str(out)) == 0
-    ckpt = str(out / "checkpoint.json")
-    assert run("snr", "--config", cfg, "--out", str(tmp_path / "snr"), ckpt) == 2
-
-
 def test_pdf_end_to_end(trained, tmp_path):
     cfg, ckpt, _ = trained
     out = tmp_path / "pdf"
@@ -305,6 +301,75 @@ def test_pdf_end_to_end(trained, tmp_path):
     width = 0.1
     integral = sum(r.density_received for r in rows) * width
     assert integral == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.fixture(scope="module")
+def trained_nnd(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("cli-nnd")
+    cfg = write_config(tmp_path, arch="mlp-nnd")
+    out = tmp_path / "run"
+    assert run("train", "--config", cfg, "--out", str(out)) == 0
+    return str(out / "checkpoint.json")
+
+
+# (command, config overrides, extra flags, checkpoint, what stderr names)
+_BAD_INPUT = {
+    "eval.frames": ("snr", {"eval": {**EVAL, "frames": 0}}, [], "rnnd",
+                    r"\bframes must be"),
+    "eval.bins": ("pdf", {"eval": {**EVAL, "bins": 5}}, [], "rnnd",
+                  r"\bbins must be"),
+    "eval.batch": ("bench", {"eval": {**EVAL, "batch": 0}}, [], "rnnd",
+                   r"\bbatch must be"),
+    "eval.bench_frames": ("bench", {"eval": {**EVAL, "bench_frames": 0}}, [],
+                          "rnnd", r"\bbench_frames must be"),
+    "eval.min_bit_errors": ("ber", {"eval": {**EVAL, "min_bit_errors": -1}},
+                            [], "rnnd", r"\bmin_bit_errors must be"),
+    "eval.max_frames": ("ber", {"eval": {**EVAL, "max_frames": 0}}, [], "rnnd",
+                        r"\bmax_frames must be"),
+    "workers": ("ber", {}, ["--workers", "0"], "rnnd", r"--workers must be"),
+    "cnn-nnd-8-4": ("train", {"arch": "cnn-nnd"}, [], None,
+                    r"N must be divisible by 16"),
+    "train-32-20": ("train", {"code": {"N": 32, "K": 20}}, [], None,
+                    r"K <= 16"),
+    "snr-nnd": ("snr", {}, [], "nnd", r"no denoiser"),
+    "pdf-nnd": ("pdf", {}, [], "nnd", r"no denoiser"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_INPUT))
+def test_bad_input_exits_2_before_any_output(trained, trained_nnd, tmp_path,
+                                             capsys, case):
+    command, overrides, flags, ckpt, names = _BAD_INPUT[case]
+    cfg = write_config(tmp_path, **overrides)
+    out = tmp_path / "out"
+    argv = [command, "--config", cfg, "--out", str(out), *flags]
+    argv += {"rnnd": [trained[1]], "nnd": [trained_nnd], None: []}[ckpt]
+    assert run(*argv) == 2
+    assert re.search(names, capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_malformed_checkpoint_exits_2(trained, tmp_path, capsys):
+    cfg, ckpt, _ = trained
+    doc = json.loads(Path(ckpt).read_text())
+    del doc["tensors"][0]["values"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "ber"
+    assert run("ber", "--config", cfg, "--out", str(out), str(bad)) == 2
+    err = capsys.readouterr().err
+    assert "bad.json" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_value_error_during_run_exits_3(monkeypatch, tmp_path, capsys):
+    def fail(*args, **kwargs):
+        raise ValueError("simulated fault")
+
+    monkeypatch.setattr(ev, "ber_eval", fail)
+    cfg = write_config(tmp_path)
+    assert run("ber", "--config", cfg, "--out", str(tmp_path / "ber")) == 3
+    assert "simulated fault" in capsys.readouterr().err
 
 
 def test_bench_end_to_end(trained, tmp_path):

@@ -99,6 +99,14 @@ def test_sigmoid_stable_at_extremes():
     assert 0.0 <= y[0] < 1e-12 and y[1] == 0.5 and 1.0 - 1e-12 < y[2] <= 1.0
 
 
+def test_sigmoid_bit_identical_to_two_branch_formula():
+    x = np.random.default_rng(0).standard_normal((2048, 8)) * 20.0
+    x[0, :4] = [np.inf, -np.inf, 0.0, -0.0]
+    ref = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                   np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    assert Sigmoid().forward(x).tobytes() == ref.tobytes()
+
+
 def test_lstm_forward_hand_case():
     # one unit, one step: every weight pinned, so the gate arithmetic is
     # checkable with scalar formulas

@@ -294,13 +294,58 @@ def test_checkpoint_ignores_unknown_top_level_keys(tmp_path):
     assert loaded.spec == TOY_SPEC
 
 
-@pytest.mark.parametrize("doc", [[], {"format_version": 2, "spec": "mlp-rnnd-8-4",
-                                      "seed": 0, "epoch": 0, "tensors": []}],
-                         ids=["not-an-object", "spec-not-an-object"])
-def test_checkpoint_rejects_malformed_document(tmp_path, doc):
+def _doc(**fields):
+    """A version 2 document of an (8, 4) mlp-rnnd holding one bias tensor,
+    with ``fields`` replaced."""
+    doc = {"format_version": 2,
+           "spec": {"family": "mlp", "variant": "rnnd", "N": 8, "K": 4},
+           "seed": 0, "epoch": 0,
+           "tensors": [{"name": "decoder.0.b", "shape": [1], "values": [0.0]}]}
+    doc.update(fields)
+    return doc
+
+
+@pytest.mark.parametrize("doc,match", [
+    ([], "not a JSON object"),
+    (_doc(spec="mlp-rnnd-8-4"), "'spec' must be an object"),
+    (_doc(tensors=[{"shape": [1], "values": [0.0]}]), "entry 0"),
+    (_doc(tensors=[{"name": "decoder.0.b", "values": [0.0]}]), "entry 0"),
+    (_doc(tensors=[{"name": "decoder.0.b", "shape": [1]}]), "entry 0"),
+    (_doc(tensors=[{"name": "decoder.0.b", "shape": [1], "values": ["x"]}]),
+     "entry 0"),
+    (_doc(tensors=[{"name": "decoder.0.b", "shape": None, "values": [0.0]}]),
+     "entry 0"),
+    (_doc(tensors=[{"name": ["decoder.0.b"], "shape": [1], "values": [0.0]}]),
+     "entry 0"),
+    (_doc(tensors={"decoder.0.b": [0.0]}), "'tensors' must be a list"),
+    (_doc(tensors=[[0.0]]), "entry 0"),
+    (_doc(seed=None), "'seed' must be a non-negative integer"),
+    (_doc(seed=-1), "'seed' must be a non-negative integer"),
+    (_doc(epoch=None), "'epoch' must be a non-negative integer"),
+    (_doc(epoch=2.5), "'epoch' must be a non-negative integer"),
+    (_doc(epoch=True), "'epoch' must be a non-negative integer"),
+    ({"format_version": 2}, "'seed' must be a non-negative integer"),
+    (_doc(tensors=None), "'tensors' must be a list"),
+], ids=["not-an-object", "spec-not-an-object", "tensor-without-name",
+        "tensor-without-shape", "tensor-without-values", "tensor-str-values",
+        "tensor-null-shape", "tensor-list-name", "tensors-an-object", "tensors-not-objects",
+        "null-seed", "negative-seed", "null-epoch", "float-epoch", "bool-epoch",
+        "fields-missing", "null-tensors"])
+def test_checkpoint_rejects_malformed_document(tmp_path, doc, match):
     path = tmp_path / "ckpt.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(CheckpointError):
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_duplicate_tensor(tmp_path):
+    model, _ = toy_setup()
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(model, path, seed=0, epoch=0)
+    doc = json.loads(path.read_text())
+    doc["tensors"].append(doc["tensors"][0])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError, match="repeated name"):
         load_checkpoint(path)
 
 
