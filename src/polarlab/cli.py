@@ -165,6 +165,14 @@ def _settings_from_args(args):
         code = polar.construct_code(settings.N, settings.K)
     except ValueError as exc:
         raise UsageError(f"bad code: {exc}") from exc
+    points = [("train.train_ebn0_db", settings.train.train_ebn0_db),
+              ("eval.pdf_ebn0_db", settings.eval.pdf_ebn0_db)]
+    points += [("eval.ebn0_db", value) for value in settings.eval.ebn0_db]
+    for key, ebn0_db in points:
+        try:
+            polar.ebn0_to_sigma(ebn0_db, code.rate)
+        except ValueError as exc:
+            raise UsageError(f"config key {key}: {exc}") from exc
     return settings, code
 
 
@@ -190,7 +198,12 @@ def _codebook(code):
 
 
 def _prepare_out(settings, filenames, force):
-    os.makedirs(settings.out, exist_ok=True)
+    try:
+        os.makedirs(settings.out, exist_ok=True)
+    except OSError as exc:
+        # an existing file, an empty name, a path through a file
+        raise UsageError(f"cannot use {settings.out!r} as the output "
+                         f"directory: {exc.strerror or exc}") from exc
     paths = [os.path.join(settings.out, name) for name in filenames]
     if not force:
         for path in paths:

@@ -96,6 +96,9 @@ class ModelSpec:
                  *self.cnn_decoder_channels)
         if not all(type(n) is int and n >= 1 for n in sizes):
             raise ValueError(f"sizes and widths must be positive integers: {self}")
+        if not (len(self.cnn_denoiser_channels) == len(self.cnn_decoder_channels) == 3):
+            raise ValueError(f"a cnn trunk has three conv layers, so each channel "
+                             f"list needs three widths: {self}")
         if not 1 <= self.K <= self.N:
             raise ValueError(f"need 1 <= K <= N, got K={self.K}, N={self.N}")
         # a cnn trunk pools twice; an NND stack runs two trunks in series
@@ -171,24 +174,54 @@ def _rnn_stack(n, hidden, dims_out, rng, sigmoid):
     return Sequential(layers + [TakeLast()] + _head(prev, dims_out, rng, sigmoid))
 
 
-def _build_stacks(spec, rng):
-    """Returns (denoiser, decoder); denoiser is None for NND variants.
+def _stack_plans(spec):
+    """``(n, widths, dims_out, sigmoid)`` of each stack, denoiser first.
 
     An NND runs the RNND's denoiser and decoder trunks in series as one
     stack, without the shortcut and without the N-wide bottleneck.
     """
-    if spec.family == "mlp":
-        stack, den, dec = _mlp_stack, spec.mlp_hidden, spec.mlp_hidden
-    elif spec.family == "cnn":
-        stack = _cnn_stack
-        den, dec = (spec.cnn_denoiser_channels,), (spec.cnn_decoder_channels,)
-    else:
-        stack = _rnn_stack
-        den, dec = (spec.rnn_denoiser_hidden,), (spec.rnn_decoder_hidden,)
+    den, dec = {
+        "mlp": (spec.mlp_hidden, spec.mlp_hidden),
+        "cnn": ((spec.cnn_denoiser_channels,), (spec.cnn_decoder_channels,)),
+        "rnn": ((spec.rnn_denoiser_hidden,), (spec.rnn_decoder_hidden,)),
+    }[spec.family]
     if spec.variant == "rnnd":
-        return (stack(spec.N, den, spec.N, rng, False),
-                stack(spec.N, dec, spec.K, rng, True))
-    return None, stack(spec.N, den + dec, spec.K, rng, True)
+        return [(spec.N, den, spec.N, False), (spec.N, dec, spec.K, True)]
+    return [(spec.N, den + dec, spec.K, True)]
+
+
+def _build_stacks(spec, rng):
+    """Returns (denoiser, decoder); denoiser is None for NND variants."""
+    stack = {"mlp": _mlp_stack, "cnn": _cnn_stack, "rnn": _rnn_stack}[spec.family]
+    *denoiser, decoder = [stack(n, widths, dims_out, rng, sigmoid)
+                          for n, widths, dims_out, sigmoid in _stack_plans(spec)]
+    return (denoiser[0] if denoiser else None), decoder
+
+
+def _mlp_count(n, hidden, dims_out):
+    dims = (n, *hidden, dims_out)
+    return sum(a * b + b for a, b in zip(dims, dims[1:]))
+
+
+def _cnn_count(n, trunks, dims_out):
+    channels = (1, *(c for trunk in trunks for c in trunk))
+    convs = sum(a * b * Conv1D.KERNEL + b for a, b in zip(channels, channels[1:]))
+    flat = channels[-1] * (n // 4 ** len(trunks))
+    return convs + flat * dims_out + dims_out
+
+
+def _rnn_count(n, hidden, dims_out):
+    dims = (1, *hidden)
+    cells = sum(len(LSTM.GATES) * (a * b + b * b + b) for a, b in zip(dims, dims[1:]))
+    return cells + dims[-1] * dims_out + dims_out
+
+
+def spec_param_count(spec):
+    """``param_count(build(spec, seed))`` from the spec alone, without
+    allocating a tensor: what a checkpoint must hold before it is built."""
+    count = {"mlp": _mlp_count, "cnn": _cnn_count, "rnn": _rnn_count}[spec.family]
+    return sum(count(n, widths, dims_out)
+               for n, widths, dims_out, _ in _stack_plans(spec))
 
 
 class Model:

@@ -2,9 +2,10 @@
 
 Every layer implements ``forward(x)`` and ``backward(dout)``; ``backward``
 must follow the matching ``forward`` (activations are cached on the layer,
-so a layer instance is single-threaded during training). Parameters and
-their gradient buffers live in ``Param`` records so the optimizer and the
-checkpoint code can treat all layers uniformly.
+so a layer instance is single-threaded during training; each layer's
+docstring says what it keeps). Parameters and their gradient buffers live
+in ``Param`` records so the optimizer and the checkpoint code can treat all
+layers uniformly.
 """
 
 import numpy as np
@@ -39,7 +40,7 @@ class Layer:
 
 
 class Affine(Layer):
-    """y = x W + b with W of shape (n_in, n_out)."""
+    """y = x W + b with W of shape (n_in, n_out). Caches the input x."""
 
     def __init__(self, n_in, n_out, rng):
         self.w = Param.zeros_like("W", glorot_uniform(rng, (n_in, n_out), n_in, n_out))
@@ -62,7 +63,14 @@ class Conv1D(Layer):
     """Channel-wise 1-D cross-correlation, kernel 3, zero padding 1.
 
     Input and output are (batch, channels, length); the length is preserved.
-    Kernel tensor has shape (in_channels, out_channels, KERNEL).
+    Kernel tensor has shape (in_channels, out_channels, KERNEL). The output
+    is a transposed view of a (batch, length, out_channels) array.
+
+    Caches the zero-padded input channels first, (batch, in_channels,
+    length + 2). Each tap is one gemm whose operands have the values and
+    the memory layout ``np.tensordot`` would give it, because the layout
+    decides the bits of the result: at batch 1 the rows of a tap are a
+    strided view of the cache, not a copy.
     """
 
     KERNEL = 3
@@ -81,45 +89,71 @@ class Conv1D(Layer):
         if x.ndim != 3 or x.shape[1] != self.w.value.shape[0]:
             raise ValueError(
                 f"expected (batch, {self.w.value.shape[0]}, length), got {x.shape}")
-        batch, _, length = x.shape
-        xp = np.pad(x, ((0, 0), (0, 0), (self.PAD, self.PAD)))
-        self._xp, self._length = xp, length
-        out = np.zeros((batch, length, self.w.value.shape[1]))
-        for k in range(self.KERNEL):
-            out += np.tensordot(xp[:, :, k:k + length], self.w.value[:, :, k],
-                                axes=([1], [0]))
-        return out.transpose(0, 2, 1) + self.b.value[None, :, None]
+        batch, c_in, length = x.shape
+        xp = np.zeros((batch, c_in, length + 2 * self.PAD))
+        xp[:, :, self.PAD:self.PAD + length] = x
+        self._xp = xp
+        taps = xp.transpose(0, 2, 1)
+        rows = batch * length
+        # a gemm sum starts from +0.0, so it never returns -0.0 and the
+        # first tap needs no zero-filled accumulator
+        out = np.dot(taps[:, :length].reshape(rows, c_in), self.w.value[:, :, 0])
+        tap = np.empty_like(out)
+        for k in range(1, self.KERNEL):
+            out += np.dot(taps[:, k:k + length].reshape(rows, c_in),
+                          self.w.value[:, :, k], out=tap)
+        out += self.b.value
+        return out.reshape(batch, length, -1).transpose(0, 2, 1)
 
     def backward(self, dout):
-        length = self._length
+        # the gemm operands below are views of dout, whose layout can
+        # change the bits of the result
+        dout = np.ascontiguousarray(dout)
+        batch, c_out, length = dout.shape
         dt = dout.transpose(0, 2, 1)
-        dxp = np.zeros_like(self._xp)
+        dt_rows = dt.reshape(batch * length, c_out)
+        taps = self._xp.transpose(1, 0, 2)
+        dxp = np.zeros((batch, length + 2 * self.PAD, len(taps)))
         for k in range(self.KERNEL):
-            self.w.grad[:, :, k] += np.tensordot(
-                self._xp[:, :, k:k + length], dt, axes=([0, 2], [0, 1]))
-            dxp[:, :, k:k + length] += (dt @ self.w.value[:, :, k].T).transpose(0, 2, 1)
+            self.w.grad[:, :, k] += np.dot(
+                taps[:, :, k:k + length].reshape(len(taps), -1), dt_rows)
+            # a batched matmul: one gemv per frame when c_in is 1
+            dxp[:, k:k + length] += dt @ self.w.value[:, :, k].T
         self.b.grad += dout.sum(axis=(0, 2))
-        return dxp[:, :, self.PAD:self.PAD + length]
+        # channels first and contiguous, the layout the bias sums of the
+        # layers upstream were written against
+        return np.ascontiguousarray(
+            dxp[:, self.PAD:self.PAD + length].transpose(0, 2, 1))
 
 
 class MaxPool1D(Layer):
-    """Width-2 stride-2 max pooling; ties keep the earlier position."""
+    """Width-2 stride-2 max pooling; ties keep the earlier position.
+
+    Reads the even and odd positions as strided views, in whatever memory
+    layout the input has. Caches a boolean mask, true where the second of a
+    pair is strictly larger, and routes each gradient to the position it
+    names; the input gradient is a new C-contiguous array.
+    """
 
     def forward(self, x):
         if x.shape[-1] % 2 != 0:
             raise ValueError(f"pooling needs an even length, got {x.shape[-1]}")
-        pairs = x.reshape(x.shape[:-1] + (x.shape[-1] // 2, 2))
-        self._idx = pairs.argmax(axis=-1)
-        self._shape = x.shape
-        return np.take_along_axis(pairs, self._idx[..., None], axis=-1)[..., 0]
+        first, second = x[..., 0::2], x[..., 1::2]
+        self._second = second > first
+        # on equal inputs (+0.0 and -0.0 too) maximum returns its second
+        # argument, here the earlier position; a NaN in either propagates
+        return np.maximum(second, first)
 
     def backward(self, dout):
-        dpairs = np.zeros(self._shape[:-1] + (self._shape[-1] // 2, 2))
-        np.put_along_axis(dpairs, self._idx[..., None], dout[..., None], axis=-1)
-        return dpairs.reshape(self._shape)
+        dx = np.empty(dout.shape[:-1] + (2 * dout.shape[-1],))
+        dx[..., 0::2] = np.where(self._second, 0.0, dout)
+        dx[..., 1::2] = np.where(self._second, dout, 0.0)
+        return dx
 
 
 class ReLU(Layer):
+    """max(x, 0) as ``x * (x > 0)``. Caches the boolean mask ``x > 0``."""
+
     def forward(self, x):
         self._mask = x > 0
         return x * self._mask
@@ -129,6 +163,9 @@ class ReLU(Layer):
 
 
 class Sigmoid(Layer):
+    """Logistic function, from ``exp(-|x|)`` so it cannot overflow. Caches
+    the output y, which is all the backward needs."""
+
     def forward(self, x):
         e = np.exp(-np.abs(x))
         self._y = np.where(x >= 0, 1.0, e) / (1.0 + e)
@@ -146,6 +183,8 @@ class LSTM(Layer):
     Each gate owns an input weight (n_in, hidden), a recurrent weight
     (hidden, hidden) and a bias (hidden,), initialized uniform within
     +-1/sqrt(hidden) with zero biases. Returns the full hidden sequence.
+    Caches, for every step, the input, the previous h and c, the four gate
+    activations and tanh(c_t).
     """
 
     GATES = ("i", "f", "g", "o")
@@ -224,7 +263,7 @@ class LSTM(Layer):
 
 
 class Sequential(Layer):
-    """Chain of layers applied in order."""
+    """Chain of layers applied in order; caches nothing of its own."""
 
     def __init__(self, layers):
         self.layers = list(layers)

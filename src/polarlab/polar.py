@@ -159,10 +159,21 @@ def bpsk_modulate(bits):
 
 
 def ebn0_to_sigma(ebn0_db, rate):
-    """Noise standard deviation for a given Eb/N0 (dB) at code rate ``rate``."""
+    """Noise standard deviation for a given Eb/N0 (dB) at code rate ``rate``.
+
+    Raises ``ValueError`` if the result is not a positive finite number,
+    as happens for an Eb/N0 beyond about +-3080 dB.
+    """
     if rate <= 0:
         raise ValueError(f"rate must be positive, got {rate}")
-    return float(np.sqrt(1.0 / (2.0 * rate * 10.0 ** (ebn0_db / 10.0))))
+    try:
+        sigma = float(np.sqrt(1.0 / (2.0 * rate * 10.0 ** (ebn0_db / 10.0))))
+    except (OverflowError, ZeroDivisionError):
+        sigma = float("nan")
+    if not 0.0 < sigma < float("inf"):
+        raise ValueError(f"Eb/N0 of {ebn0_db} dB gives no positive finite noise "
+                         f"sigma at rate {rate}")
+    return sigma
 
 
 def awgn_channel(symbols, sigma, rng):

@@ -14,7 +14,7 @@ import numpy as np
 from dataclasses import dataclass, field
 
 from polarlab import polar
-from polarlab.models import ModelSpec, build
+from polarlab.models import ModelSpec, build, spec_param_count
 from polarlab.nn import Adam
 
 CHECKPOINT_FORMAT_VERSION = 2
@@ -168,8 +168,10 @@ def load_checkpoint(path):
     tensors.
 
     Returns ``(model, meta)``. An unreadable or malformed file and any
-    mismatch with the spec (version, tensor names, shapes, non-finite
-    values) raise ``CheckpointError`` naming ``path``.
+    mismatch with the spec (version, parameter count, tensor names, shapes,
+    non-finite values) raise ``CheckpointError`` naming ``path``. The
+    parameter count is checked before the model is built, so a spec with
+    huge widths is refused without allocating them.
     """
     def error(msg):
         return CheckpointError(f"checkpoint {path}: {msg}")
@@ -217,6 +219,12 @@ def load_checkpoint(path):
             raise error(f"tensor {name!r} has non-finite values")
         stored[name] = arr
 
+    # the spec's widths size what ``build`` allocates, so they must agree
+    # with the stored tensors before it runs
+    count, stored_count = spec_param_count(spec), sum(a.size for a in stored.values())
+    if count != stored_count:
+        raise error(f"bad spec: {spec.arch_name} with these widths has {count} "
+                    f"parameters, the file stores {stored_count}")
     model = build(spec, seed=doc["seed"])
     expected = dict(model.named_params())
     if set(stored) != set(expected):

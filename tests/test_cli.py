@@ -333,6 +333,18 @@ _BAD_INPUT = {
                     r"K <= 16"),
     "snr-nnd": ("snr", {}, [], "nnd", r"no denoiser"),
     "pdf-nnd": ("pdf", {}, [], "nnd", r"no denoiser"),
+    # finite values whose noise sigma overflows, underflows or divides by 0
+    "eval.ebn0_db-4000": ("ber", {"eval": {**EVAL, "ebn0_db": [0.0, 4000.0]}},
+                          [], "rnnd", r"eval\.ebn0_db: .*no positive finite"),
+    "eval.ebn0_db-1e308": ("ber", {"eval": {**EVAL, "ebn0_db": [1e308]}}, [],
+                           None, r"eval\.ebn0_db: .*no positive finite"),
+    "eval.ebn0_db--1e308": ("snr", {"eval": {**EVAL, "ebn0_db": [-1e308]}}, [],
+                            "rnnd", r"eval\.ebn0_db: .*no positive finite"),
+    "eval.pdf_ebn0_db": ("pdf", {"eval": {**EVAL, "pdf_ebn0_db": 1e308}}, [],
+                         "rnnd", r"eval\.pdf_ebn0_db: .*no positive finite"),
+    "train.train_ebn0_db": ("train", {"train": {"epochs": 1,
+                                                "train_ebn0_db": -1e308}},
+                            [], None, r"train\.train_ebn0_db: .*no positive"),
 }
 
 
@@ -347,6 +359,24 @@ def test_bad_input_exits_2_before_any_output(trained, trained_nnd, tmp_path,
     assert run(*argv) == 2
     assert re.search(names, capsys.readouterr().err)
     assert not out.exists()
+
+
+def test_out_naming_a_file_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("keep me")
+    assert run("ber", "--config", cfg, "--out", str(taken)) == 2
+    err = capsys.readouterr().err
+    assert "output directory" in err and "Traceback" not in err
+    assert taken.read_text() == "keep me"
+
+
+def test_empty_out_in_config_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, out="")
+    assert run("ber", "--config", cfg) == 2
+    assert "output directory" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 def test_malformed_checkpoint_exits_2(trained, tmp_path, capsys):

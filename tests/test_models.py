@@ -5,13 +5,17 @@ gradient checks on small instances.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polarlab.models import (
+    FAMILIES,
+    VARIANTS,
     Model,
     ModelSpec,
     build,
     hard_decision,
     parse_arch_name,
+    spec_param_count,
 )
 from polarlab.nn import grad_check, mse_loss, param_count
 
@@ -83,6 +87,31 @@ def test_param_count_rnn_nnd():
     expected = (lstm_params(1, 64) + lstm_params(64, 48) + affine_params(48, 8))
     assert expected == 38984
     assert param_count(build(spec_for("rnn-nnd"), seed=0)) == 38984
+
+
+_WIDTH = st.integers(1, 9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_spec_param_count_matches_built_model(data):
+    # the closed form a checkpoint is checked against before it is built
+    family = data.draw(st.sampled_from(FAMILIES))
+    variant = data.draw(st.sampled_from(VARIANTS))
+    step = {"nnd": 16, "rnnd": 4}[variant] if family == "cnn" else 1
+    N = step * data.draw(st.integers(1, 32 // step))
+    spec = ModelSpec(
+        family=family, variant=variant, N=N, K=data.draw(st.integers(1, N)),
+        mlp_hidden=tuple(data.draw(st.lists(_WIDTH, max_size=4))),
+        cnn_denoiser_channels=tuple(data.draw(st.lists(_WIDTH, min_size=3, max_size=3))),
+        cnn_decoder_channels=tuple(data.draw(st.lists(_WIDTH, min_size=3, max_size=3))),
+        rnn_denoiser_hidden=data.draw(_WIDTH), rnn_decoder_hidden=data.draw(_WIDTH))
+    assert spec_param_count(spec) == param_count(build(spec, seed=0))
+
+
+def test_cnn_channels_come_in_threes():
+    with pytest.raises(ValueError, match="three"):
+        spec_for("cnn-rnnd", cnn_decoder_channels=(64, 32))
 
 
 # ------------------------------------------------------------------ arch naming

@@ -1,11 +1,14 @@
 """Engine tests: forward oracles, finite-difference gradient checks,
 optimizer behaviour. Parameterless layers (pool, relu, sigmoid) are
 gradient-checked through surrounding affine layers, whose parameter
-gradients are wrong if the intermediate backward is wrong.
+gradients are wrong if the intermediate backward is wrong. The conv and
+pool kernels are also held bit for bit to the plain gather/scatter and
+per-tap ``tensordot`` versions below.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polarlab.nn import (
     Adam,
@@ -152,6 +155,128 @@ def test_forward_outputs_finite_for_finite_inputs():
         seq = Sequential([Affine(8, 16, rng), ReLU(), Affine(16, 8, rng), Sigmoid()])
         x = rng.standard_normal((4, 8)) * 100.0
         assert np.isfinite(seq.forward(x)).all()
+
+
+# ------------------------------------------------------------ kernel oracles
+
+def _ref_pool(x, dout):
+    """Pooling by gather and scatter over (..., length / 2, 2) pairs: the
+    output and the input gradient."""
+    pairs = x.reshape(x.shape[:-1] + (x.shape[-1] // 2, 2))
+    idx = pairs.argmax(axis=-1)
+    out = np.take_along_axis(pairs, idx[..., None], axis=-1)[..., 0]
+    dpairs = np.zeros(pairs.shape)
+    np.put_along_axis(dpairs, idx[..., None], dout[..., None], axis=-1)
+    return out, dpairs.reshape(x.shape)
+
+
+def _ref_conv(x, w, b, dout):
+    """Convolution as one ``tensordot`` per tap over a channels-first padded
+    input: the output, dx, dW and db."""
+    length = x.shape[2]
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1)))
+    out = np.zeros((x.shape[0], length, w.shape[1]))
+    for k in range(3):
+        out += np.tensordot(xp[:, :, k:k + length], w[:, :, k], axes=([1], [0]))
+    dt = dout.transpose(0, 2, 1)
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    for k in range(3):
+        dw[:, :, k] += np.tensordot(xp[:, :, k:k + length], dt,
+                                    axes=([0, 2], [0, 1]))
+        dxp[:, :, k:k + length] += (dt @ w[:, :, k].T).transpose(0, 2, 1)
+    return (out.transpose(0, 2, 1) + b[None, :, None], dxp[:, :, 1:1 + length],
+            dw, dout.sum(axis=(0, 2)))
+
+
+def _bits(a):
+    """Shape and bytes: equal only if every element, sign of zero included,
+    is identical."""
+    return a.shape, a.tobytes()
+
+
+def _array(rng, shape, channels_last, values=None):
+    """A (batch, channels, length) array, C-ordered or a transposed view of
+    a (batch, length, channels) one as the conv layer returns; drawn from
+    ``values`` if given, else standard normal."""
+    batch, channels, length = shape
+    inner = (batch, length, channels) if channels_last else shape
+    data = (rng.standard_normal(inner) if values is None
+            else rng.choice(values, size=inner))
+    return data.transpose(0, 2, 1) if channels_last else data
+
+
+_SEED = st.integers(0, 2 ** 32 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(batch=st.integers(1, 70), channels=st.integers(1, 70),
+       half=st.integers(1, 10), channels_last=st.booleans(),
+       dout_last=st.booleans(), seed=_SEED)
+def test_maxpool_matches_gather_scatter_reference(batch, channels, half,
+                                                  channels_last, dout_last, seed):
+    # few distinct values, so most pairs tie, +0.0 against -0.0 included
+    rng = np.random.default_rng(seed)
+    x = _array(rng, (batch, channels, 2 * half), channels_last,
+               values=[-1.5, -0.0, 0.0, 0.25, 2.0])
+    dout = _array(rng, (batch, channels, half), dout_last,
+                  values=[-1.0, -0.0, 0.0, 3.0])
+    pool = MaxPool1D()
+    out = pool.forward(x)
+    dx = pool.backward(dout)
+    ref_out, ref_dx = _ref_pool(x, dout)
+    assert _bits(out) == _bits(ref_out)
+    assert _bits(dx) == _bits(ref_dx)
+
+
+def _conv_case(batch, c_in, c_out, length, discrete, seed):
+    """A conv layer with a random bias, and an input and an output gradient,
+    C-ordered; discrete draws give exact zeros of both signs and exact
+    cancellation."""
+    rng = np.random.default_rng(seed)
+    values = [-1.0, -0.5, -0.0, 0.0, 0.5, 1.0] if discrete else None
+    layer = Conv1D(c_in, c_out, rng)
+    if discrete:
+        layer.w.value[:] = rng.choice(values, size=layer.w.value.shape)
+    layer.b.value[:] = (rng.choice(values, size=c_out) if discrete
+                        else rng.standard_normal(c_out))
+    return (layer, _array(rng, (batch, c_in, length), False, values),
+            _array(rng, (batch, c_out, length), False, values))
+
+
+def _conv_run(layer, x, dout):
+    layer.w.grad[...] = 0.0
+    layer.b.grad[...] = 0.0
+    out = layer.forward(x)
+    dx = layer.backward(dout)
+    return [_bits(a) for a in (out, dx, layer.w.grad, layer.b.grad)]
+
+
+_CONV_SIZES = dict(batch=st.integers(1, 70), c_in=st.integers(1, 70),
+                   c_out=st.integers(1, 70), length=st.integers(1, 20),
+                   discrete=st.booleans(), seed=_SEED)
+
+
+@settings(max_examples=200, deadline=None)
+@given(**_CONV_SIZES)
+def test_conv1d_matches_tensordot_reference(batch, c_in, c_out, length,
+                                            discrete, seed):
+    layer, x, dout = _conv_case(batch, c_in, c_out, length, discrete, seed)
+    ref = _ref_conv(x, layer.w.value, layer.b.value, dout)
+    assert _conv_run(layer, x, dout) == [_bits(a) for a in ref]
+
+
+@settings(max_examples=100, deadline=None)
+@given(**_CONV_SIZES, x_last=st.booleans(), dout_last=st.booleans())
+def test_conv1d_bits_do_not_depend_on_input_layout(batch, c_in, c_out, length,
+                                                   discrete, seed, x_last,
+                                                   dout_last):
+    # the pool hands the next conv a channels-last array; a gemm's bits can
+    # follow the layout of its operands, so the kernel must not pass it on
+    layer, x, dout = _conv_case(batch, c_in, c_out, length, discrete, seed)
+    relaid = [np.ascontiguousarray(a.transpose(0, 2, 1)).transpose(0, 2, 1)
+              if last else a for a, last in ((x, x_last), (dout, dout_last))]
+    assert _conv_run(layer, *relaid) == _conv_run(layer, x, dout)
 
 
 # ------------------------------------------------------------------------ loss

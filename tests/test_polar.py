@@ -193,6 +193,14 @@ def test_ebn0_to_sigma():
         ebn0_to_sigma(0.0, 0.0)
 
 
+@pytest.mark.parametrize("ebn0_db", [4000.0, 1e308, -1e308, -3090.0, np.nan])
+def test_ebn0_to_sigma_refuses_values_without_usable_sigma(ebn0_db):
+    # 10 ** (ebn0_db / 10) overflows, underflows to zero, or leaves
+    # 1 / (2 R Eb/N0) past the largest float
+    with pytest.raises(ValueError, match="no positive finite noise sigma"):
+        ebn0_to_sigma(ebn0_db, 0.5)
+
+
 def test_awgn_seeded_reproducibility():
     s = bpsk_modulate(np.zeros(64, dtype=np.int64))
     y1 = awgn_channel(s, 0.8, np.random.default_rng(42))

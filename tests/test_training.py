@@ -269,8 +269,11 @@ def test_checkpoint_arch_must_be_known(tmp_path):
     lambda spec: spec.update(N=None),
     lambda spec: spec.pop("family"),
     lambda spec: spec.clear(),
+    # 58e9 parameters: refused by count before anything is allocated
+    lambda spec: spec.update(mlp_hidden=[1_000_000_000]),
+    lambda spec: spec.update(mlp_hidden=[32, 16]),
 ], ids=["unknown-key", "float-width", "str-width", "bool-width", "scalar-widths",
-        "null-N", "no-family", "empty"])
+        "null-N", "no-family", "empty", "huge-width", "too-few-layers"])
 def test_checkpoint_rejects_malformed_spec(tmp_path, edit):
     model, _ = toy_setup()
     path = tmp_path / "ckpt.json"
