@@ -31,7 +31,7 @@ VARIANTS = ("nnd", "rnnd")
 class AsChannels(Layer):
     """(batch, N) -> (batch, 1, N)"""
 
-    def forward(self, x):
+    def forward(self, x, keep=False):
         return x[:, None, :]
 
     def backward(self, dout):
@@ -41,18 +41,18 @@ class AsChannels(Layer):
 class Flatten(Layer):
     """(batch, channels, length) -> (batch, channels * length)"""
 
-    def forward(self, x):
-        self._shape = x.shape
+    def forward(self, x, keep=False):
+        self._cache = x.shape if keep else None
         return x.reshape(x.shape[0], -1)
 
     def backward(self, dout):
-        return dout.reshape(self._shape)
+        return dout.reshape(self._saved())
 
 
 class AsSequence(Layer):
     """(batch, N) -> (batch, N, 1): one symbol per timestep."""
 
-    def forward(self, x):
+    def forward(self, x, keep=False):
         return x[:, :, None]
 
     def backward(self, dout):
@@ -62,12 +62,12 @@ class AsSequence(Layer):
 class TakeLast(Layer):
     """(batch, time, hidden) -> (batch, hidden), keeping the final step."""
 
-    def forward(self, x):
-        self._shape = x.shape
+    def forward(self, x, keep=False):
+        self._cache = x.shape if keep else None
         return x[:, -1, :]
 
     def backward(self, dout):
-        dx = np.zeros(self._shape)
+        dx = np.zeros(self._saved())
         dx[:, -1, :] = dout
         return dx
 
@@ -248,18 +248,22 @@ class Model:
             raise ValueError(f"expected (batch, {self.spec.N}), got {y.shape}")
         return y
 
-    def forward(self, y):
-        """Returns ``(s_hat, u_soft)``; ``s_hat`` is None for NND variants."""
-        if self.denoiser is None:
-            return None, self.decoder.forward(self._check_input(y))
-        s_hat = self.denoise(y)
-        return s_hat, self.decoder.forward(s_hat)
+    def forward(self, y, keep=False):
+        """Returns ``(s_hat, u_soft)``; ``s_hat`` is None for NND variants.
 
-    def denoise(self, y):
+        Only with ``keep`` do the layers keep what a backward needs; by
+        default the model holds no activations afterwards.
+        """
+        if self.denoiser is None:
+            return None, self.decoder.forward(self._check_input(y), keep)
+        s_hat = self.denoise(y, keep)
+        return s_hat, self.decoder.forward(s_hat, keep)
+
+    def denoise(self, y, keep=False):
         if self.denoiser is None:
             raise ValueError(f"{self.spec.arch_name} has no denoiser stage")
         y = self._check_input(y)
-        return y + self.denoiser.forward(y)
+        return y + self.denoiser.forward(y, keep)
 
     def loss(self, y, s_true, u_true, compute_grads=False):
         """Multi-task loss for RNND, decoding loss for NND.
@@ -268,7 +272,7 @@ class Model:
         left in the layers (previous gradients are cleared first).
         """
         u_true = np.asarray(u_true, dtype=np.float64)
-        s_hat, u_soft = self.forward(y)
+        s_hat, u_soft = self.forward(y, keep=compute_grads)
         decode, d_u = mse_loss(u_soft, u_true, self.spec.K)
         if self.denoiser is None:
             if compute_grads:

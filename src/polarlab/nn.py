@@ -1,11 +1,14 @@
 """Minimal trainable-network engine on float64 numpy arrays.
 
-Every layer implements ``forward(x)`` and ``backward(dout)``; ``backward``
-must follow the matching ``forward`` (activations are cached on the layer,
-so a layer instance is single-threaded during training; each layer's
-docstring says what it keeps). Parameters and their gradient buffers live
-in ``Param`` records so the optimizer and the checkpoint code can treat all
-layers uniformly.
+Every layer implements ``forward(x, keep=False)`` and ``backward(dout)``.
+A training forward (``keep=True``) caches on the layer what the matching
+``backward`` needs, so a layer instance is single-threaded during training;
+each layer's docstring says what it keeps. An inference forward (the
+default) keeps nothing and drops what an earlier training forward kept, so
+a ``backward`` after it raises instead of reusing stale activations. The
+arithmetic is the same either way. Parameters and their gradient buffers
+live in ``Param`` records so the optimizer and the checkpoint code can
+treat all layers uniformly.
 """
 
 import numpy as np
@@ -29,18 +32,28 @@ def glorot_uniform(rng, shape, fan_in, fan_out):
 
 
 class Layer:
+    # what the last training forward kept for the backward, else None
+    _cache = None
+
     def params(self):
         return []
 
-    def forward(self, x):
+    def forward(self, x, keep=False):
         raise NotImplementedError
 
     def backward(self, dout):
         raise NotImplementedError
 
+    def _saved(self):
+        if self._cache is None:
+            raise RuntimeError(f"{type(self).__name__}.backward needs a forward "
+                               f"with keep=True before it")
+        return self._cache
+
 
 class Affine(Layer):
-    """y = x W + b with W of shape (n_in, n_out). Caches the input x."""
+    """y = x W + b with W of shape (n_in, n_out). A training forward caches
+    the input x."""
 
     def __init__(self, n_in, n_out, rng):
         self.w = Param.zeros_like("W", glorot_uniform(rng, (n_in, n_out), n_in, n_out))
@@ -49,12 +62,13 @@ class Affine(Layer):
     def params(self):
         return [self.w, self.b]
 
-    def forward(self, x):
-        self._x = x
+    def forward(self, x, keep=False):
+        self._cache = x if keep else None
         return x @ self.w.value + self.b.value
 
     def backward(self, dout):
-        self.w.grad += self._x.T @ dout
+        x = self._saved()
+        self.w.grad += x.T @ dout
         self.b.grad += dout.sum(axis=0)
         return dout @ self.w.value.T
 
@@ -66,11 +80,11 @@ class Conv1D(Layer):
     Kernel tensor has shape (in_channels, out_channels, KERNEL). The output
     is a transposed view of a (batch, length, out_channels) array.
 
-    Caches the zero-padded input channels first, (batch, in_channels,
-    length + 2). Each tap is one gemm whose operands have the values and
-    the memory layout ``np.tensordot`` would give it, because the layout
-    decides the bits of the result: at batch 1 the rows of a tap are a
-    strided view of the cache, not a copy.
+    A training forward caches the zero-padded input channels first, (batch,
+    in_channels, length + 2). Each tap is one gemm whose operands have the
+    values and the memory layout ``np.tensordot`` would give it, because the
+    layout decides the bits of the result: at batch 1 the rows of a tap are
+    a strided view of the padded input, not a copy.
     """
 
     KERNEL = 3
@@ -85,14 +99,16 @@ class Conv1D(Layer):
     def params(self):
         return [self.w, self.b]
 
-    def forward(self, x):
+    def forward(self, x, keep=False):
         if x.ndim != 3 or x.shape[1] != self.w.value.shape[0]:
             raise ValueError(
                 f"expected (batch, {self.w.value.shape[0]}, length), got {x.shape}")
+        self._cache = None
         batch, c_in, length = x.shape
         xp = np.zeros((batch, c_in, length + 2 * self.PAD))
         xp[:, :, self.PAD:self.PAD + length] = x
-        self._xp = xp
+        if keep:
+            self._cache = xp
         taps = xp.transpose(0, 2, 1)
         rows = batch * length
         # a gemm sum starts from +0.0, so it never returns -0.0 and the
@@ -112,7 +128,7 @@ class Conv1D(Layer):
         batch, c_out, length = dout.shape
         dt = dout.transpose(0, 2, 1)
         dt_rows = dt.reshape(batch * length, c_out)
-        taps = self._xp.transpose(1, 0, 2)
+        taps = self._saved().transpose(1, 0, 2)
         dxp = np.zeros((batch, length + 2 * self.PAD, len(taps)))
         for k in range(self.KERNEL):
             self.w.grad[:, :, k] += np.dot(
@@ -130,49 +146,70 @@ class MaxPool1D(Layer):
     """Width-2 stride-2 max pooling; ties keep the earlier position.
 
     Reads the even and odd positions as strided views, in whatever memory
-    layout the input has. Caches a boolean mask, true where the second of a
-    pair is strictly larger, and routes each gradient to the position it
-    names; the input gradient is a new C-contiguous array.
+    layout the input has. A training forward caches a boolean mask, true
+    where the second of a pair is strictly larger, and the backward routes
+    each gradient to the position it names; the input gradient is a new
+    C-contiguous array.
     """
 
-    def forward(self, x):
+    def forward(self, x, keep=False):
         if x.shape[-1] % 2 != 0:
             raise ValueError(f"pooling needs an even length, got {x.shape[-1]}")
         first, second = x[..., 0::2], x[..., 1::2]
-        self._second = second > first
+        self._cache = second > first if keep else None
         # on equal inputs (+0.0 and -0.0 too) maximum returns its second
         # argument, here the earlier position; a NaN in either propagates
         return np.maximum(second, first)
 
     def backward(self, dout):
+        second = self._saved()
         dx = np.empty(dout.shape[:-1] + (2 * dout.shape[-1],))
-        dx[..., 0::2] = np.where(self._second, 0.0, dout)
-        dx[..., 1::2] = np.where(self._second, dout, 0.0)
+        dx[..., 0::2] = np.where(second, 0.0, dout)
+        dx[..., 1::2] = np.where(second, dout, 0.0)
         return dx
 
 
 class ReLU(Layer):
-    """max(x, 0) as ``x * (x > 0)``. Caches the boolean mask ``x > 0``."""
+    """max(x, 0) as ``x * (x > 0)``. A training forward caches the boolean
+    mask ``x > 0``."""
 
-    def forward(self, x):
-        self._mask = x > 0
-        return x * self._mask
+    def forward(self, x, keep=False):
+        mask = x > 0
+        self._cache = mask if keep else None
+        return x * mask
 
     def backward(self, dout):
-        return dout * self._mask
+        return dout * self._saved()
 
 
 class Sigmoid(Layer):
-    """Logistic function, from ``exp(-|x|)`` so it cannot overflow. Caches
-    the output y, which is all the backward needs."""
+    """Logistic function, from ``exp(-|x|)`` so it cannot overflow. A
+    training forward caches the output y, which is all the backward needs."""
 
-    def forward(self, x):
+    def forward(self, x, keep=False):
         e = np.exp(-np.abs(x))
-        self._y = np.where(x >= 0, 1.0, e) / (1.0 + e)
-        return self._y
+        y = np.where(x >= 0, 1.0, e) / (1.0 + e)
+        self._cache = y if keep else None
+        return y
 
     def backward(self, dout):
-        return dout * self._y * (1.0 - self._y)
+        y = self._saved()
+        return dout * y * (1.0 - y)
+
+
+def _product(out, *factors):
+    """``out = factors[0] * factors[1] * ...``, multiplied left to right."""
+    np.multiply(factors[0], factors[1], out=out)
+    for factor in factors[2:]:
+        out *= factor
+
+
+def _sigmoid_in_place(a):
+    """``a = 1.0 / (1.0 + np.exp(-a))``, bit for bit, without temporaries."""
+    np.negative(a, out=a)
+    np.exp(a, out=a)
+    a += 1.0
+    np.divide(1.0, a, out=a)
 
 
 class LSTM(Layer):
@@ -183,8 +220,13 @@ class LSTM(Layer):
     Each gate owns an input weight (n_in, hidden), a recurrent weight
     (hidden, hidden) and a bias (hidden,), initialized uniform within
     +-1/sqrt(hidden) with zero biases. Returns the full hidden sequence.
-    Caches, for every step, the input, the previous h and c, the four gate
-    activations and tanh(c_t).
+
+    A call allocates its step state once and computes each gate in place,
+    with the operations and operands of ``x_t @ Wx + h @ Wh + b`` and
+    ``1 / (1 + exp(-a))``. A training forward caches the input, the gate
+    activations (steps, 4, batch, hidden), h and c from the zero start on
+    (steps + 1, batch, hidden) and tanh(c_t) (steps, batch, hidden); an
+    inference forward reuses one slot of each.
     """
 
     GATES = ("i", "f", "g", "o")
@@ -206,58 +248,81 @@ class LSTM(Layer):
             out += [self.wx[gate], self.wh[gate], self.b[gate]]
         return out
 
-    def _gate(self, gate, x_t, h_prev):
-        a = x_t @ self.wx[gate].value + h_prev @ self.wh[gate].value + self.b[gate].value
-        if gate == "g":
-            return np.tanh(a)
-        return 1.0 / (1.0 + np.exp(-a))
-
-    def forward(self, x):
+    def forward(self, x, keep=False):
         if x.ndim != 3 or x.shape[2] != self.n_in:
             raise ValueError(f"expected (batch, time, {self.n_in}), got {x.shape}")
+        self._cache = None
         batch, steps, _ = x.shape
-        h = np.zeros((batch, self.n_hidden))
-        c = np.zeros((batch, self.n_hidden))
-        self._cache = []
-        hs = np.zeros((batch, steps, self.n_hidden))
+        # step t reads state slot t and writes slot t + 1, modulo the count;
+        # one slot is enough, as a step reads all of h and c before it writes
+        n_gate, n_state = (steps, steps + 1) if keep else (1, 1)
+        gates = np.empty((n_gate, len(self.GATES), batch, self.n_hidden))
+        tanh_c = np.empty((n_gate, batch, self.n_hidden))
+        h = np.empty((n_state, batch, self.n_hidden))
+        c = np.empty((n_state, batch, self.n_hidden))
+        h[0] = c[0] = 0.0
+        work = np.empty((batch, self.n_hidden))
+        hs = np.empty((batch, steps, self.n_hidden))
         for t in range(steps):
-            x_t = x[:, t, :]
-            i = self._gate("i", x_t, h)
-            f = self._gate("f", x_t, h)
-            g = self._gate("g", x_t, h)
-            o = self._gate("o", x_t, h)
-            c_new = f * c + i * g
-            tanh_c = np.tanh(c_new)
-            self._cache.append((x_t, h, c, i, f, g, o, tanh_c))
-            c = c_new
-            h = o * tanh_c
-            hs[:, t, :] = h
+            x_t, h_prev, c_prev = x[:, t, :], h[t % n_state], c[t % n_state]
+            h_t, c_t = h[(t + 1) % n_state], c[(t + 1) % n_state]
+            acts, tc = gates[t % n_gate], tanh_c[t % n_gate]
+            for gate, a in zip(self.GATES, acts):
+                np.matmul(x_t, self.wx[gate].value, out=a)
+                a += np.matmul(h_prev, self.wh[gate].value, out=work)
+                a += self.b[gate].value
+                if gate == "g":
+                    np.tanh(a, out=a)
+                else:
+                    _sigmoid_in_place(a)
+            i, f, g, o = acts
+            np.multiply(f, c_prev, out=c_t)
+            c_t += np.multiply(i, g, out=work)
+            np.tanh(c_t, out=tc)
+            np.multiply(o, tc, out=h_t)
+            hs[:, t] = h_t
+        if keep:
+            self._cache = (x, gates, h, c, tanh_c)
         return hs
 
     def backward(self, dout):
+        x, gates, h, c, tanh_c = self._saved()
         batch, steps, _ = dout.shape
-        dx = np.zeros((batch, steps, self.n_in))
+        dx = np.empty((batch, steps, self.n_in))
+        dx_t = np.empty((batch, self.n_in))
+        work_x = np.empty((batch, self.n_in))
         dh_next = np.zeros((batch, self.n_hidden))
         dc_next = np.zeros((batch, self.n_hidden))
+        dh, dc, work = (np.empty((batch, self.n_hidden)) for _ in range(3))
+        pre = np.empty((len(self.GATES), batch, self.n_hidden))
         for t in reversed(range(steps)):
-            x_t, h_prev, c_prev, i, f, g, o, tanh_c = self._cache[t]
-            dh = dout[:, t, :] + dh_next
-            dc = dc_next + dh * o * (1.0 - tanh_c * tanh_c)
-            pre = {
-                "i": dc * g * i * (1.0 - i),
-                "f": dc * c_prev * f * (1.0 - f),
-                "g": dc * i * (1.0 - g * g),
-                "o": dh * tanh_c * o * (1.0 - o),
-            }
-            dc_next = dc * f
-            dh_next = np.zeros_like(dh)
-            dx_t = np.zeros((batch, self.n_in))
-            for gate in self.GATES:
-                self.wx[gate].grad += x_t.T @ pre[gate]
-                self.wh[gate].grad += h_prev.T @ pre[gate]
-                self.b[gate].grad += pre[gate].sum(axis=0)
-                dh_next += pre[gate] @ self.wh[gate].value.T
-                dx_t += pre[gate] @ self.wx[gate].value.T
+            x_t, h_prev, c_prev = x[:, t, :], h[t], c[t]
+            i, f, g, o = gates[t]
+            tc = tanh_c[t]
+            np.add(dout[:, t, :], dh_next, out=dh)
+            # dc = dc_next + dh * o * (1 - tc^2)
+            np.subtract(1.0, np.multiply(tc, tc, out=work), out=work)
+            _product(dc, dh, o, work)
+            dc += dc_next
+            pre_i, pre_f, pre_g, pre_o = pre
+            _product(pre_i, dc, g, i, np.subtract(1.0, i, out=work))
+            _product(pre_f, dc, c_prev, f, np.subtract(1.0, f, out=work))
+            np.subtract(1.0, np.multiply(g, g, out=work), out=work)
+            _product(pre_g, dc, i, work)
+            _product(pre_o, dh, tc, o, np.subtract(1.0, o, out=work))
+            np.multiply(dc, f, out=dc_next)
+            # the sums over gates start from the first product, not from
+            # zeros: a gemm never returns -0.0, so 0.0 + p == p
+            for k, (gate, p) in enumerate(zip(self.GATES, pre)):
+                self.wx[gate].grad += x_t.T @ p
+                self.wh[gate].grad += h_prev.T @ p
+                self.b[gate].grad += p.sum(axis=0)
+                if k == 0:
+                    np.matmul(p, self.wh[gate].value.T, out=dh_next)
+                    np.matmul(p, self.wx[gate].value.T, out=dx_t)
+                else:
+                    dh_next += np.matmul(p, self.wh[gate].value.T, out=work)
+                    dx_t += np.matmul(p, self.wx[gate].value.T, out=work_x)
             dx[:, t, :] = dx_t
         return dx
 
@@ -278,9 +343,9 @@ class Sequential(Layer):
                 out.append((f"{prefix}{idx}.{p.name}", p))
         return out
 
-    def forward(self, x):
+    def forward(self, x, keep=False):
         for layer in self.layers:
-            x = layer.forward(x)
+            x = layer.forward(x, keep)
         return x
 
     def backward(self, dout):
@@ -355,7 +420,7 @@ class MseObjective:
         return self.stack.params()
 
     def objective_loss(self, x, target, compute_grads=False):
-        pred = self.stack.forward(x)
+        pred = self.stack.forward(x, keep=compute_grads)
         norm = self.normalizer or int(np.prod(pred.shape[1:] or pred.shape))
         loss, dpred = mse_loss(pred, target, norm)
         if compute_grads:

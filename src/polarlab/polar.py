@@ -11,6 +11,8 @@ Conventions used throughout:
 * channel LLRs are ``2 y / sigma^2``; positive LLR favours bit 0
 """
 
+import functools
+
 import numpy as np
 from dataclasses import dataclass
 
@@ -23,7 +25,8 @@ class PolarCode:
     """A polar code of length ``N`` with ``K`` information positions.
 
     ``info_set`` and ``frozen_set`` are ascending tuples of message indices
-    that partition ``range(N)``.
+    that partition ``range(N)``. Their array forms are built on first use
+    and are read-only.
     """
 
     N: int
@@ -39,14 +42,35 @@ class PolarCode:
     def rate(self):
         return self.K / self.N
 
+    @functools.cached_property
+    def info_index(self):
+        """``info_set`` as an int64 index array."""
+        return _read_only(np.array(self.info_set, dtype=np.int64))
+
+    @functools.cached_property
+    def frozen_mask(self):
+        """Length-``N`` boolean array, true at the frozen positions."""
+        mask = np.zeros(self.N, dtype=bool)
+        mask[list(self.frozen_set)] = True
+        return _read_only(mask)
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
 
 def _check_block_length(N):
     if N < 1 or (N & (N - 1)) != 0:
         raise ValueError(f"block length must be a power of two, got {N}")
 
 
+@functools.cache
 def bit_reversal_permutation(N):
-    """Permutation ``p`` with ``p[i]`` = ``i`` with its n address bits reversed."""
+    """Permutation ``p`` with ``p[i]`` = ``i`` with its n address bits reversed.
+
+    Built once per ``N``; every call returns the same read-only array.
+    """
     _check_block_length(N)
     n = N.bit_length() - 1
     perm = np.zeros(N, dtype=np.int64)
@@ -56,7 +80,7 @@ def bit_reversal_permutation(N):
             if (i >> b) & 1:
                 r |= 1 << (n - 1 - b)
         perm[i] = r
-    return perm
+    return _read_only(perm)
 
 
 def bhattacharyya_bounds(N):
@@ -146,7 +170,7 @@ def encode(code, info_bits):
     """
     info_bits = _validate_bits(info_bits, code.K, "info_bits")
     u = np.zeros(info_bits.shape[:-1] + (code.N,), dtype=np.int64)
-    u[..., list(code.info_set)] = info_bits
+    u[..., code.info_index] = info_bits
     return polar_transform(u)
 
 
@@ -162,7 +186,8 @@ def ebn0_to_sigma(ebn0_db, rate):
     """Noise standard deviation for a given Eb/N0 (dB) at code rate ``rate``.
 
     Raises ``ValueError`` if the result is not a positive finite number,
-    as happens for an Eb/N0 beyond about +-3080 dB.
+    as happens for an Eb/N0 beyond about +-3080 dB, or if the channel LLR
+    scale ``2 / sigma^2`` is not finite, as at rate 1/2 from 3080 dB up.
     """
     if rate <= 0:
         raise ValueError(f"rate must be positive, got {rate}")
@@ -170,9 +195,9 @@ def ebn0_to_sigma(ebn0_db, rate):
         sigma = float(np.sqrt(1.0 / (2.0 * rate * 10.0 ** (ebn0_db / 10.0))))
     except (OverflowError, ZeroDivisionError):
         sigma = float("nan")
-    if not 0.0 < sigma < float("inf"):
+    if not (0.0 < sigma < float("inf") and 2.0 / (sigma * sigma) < float("inf")):
         raise ValueError(f"Eb/N0 of {ebn0_db} dB gives no positive finite noise "
-                         f"sigma at rate {rate}")
+                         f"sigma and LLR scale at rate {rate}")
     return sigma
 
 
@@ -240,10 +265,8 @@ def sc_decode_batch(code, y, sigma):
     if y.ndim != 2 or y.shape[1] != code.N:
         raise ValueError(f"y must have shape (frames, {code.N}), got {y.shape}")
     llr = channel_llr(y, sigma)[:, bit_reversal_permutation(code.N)]
-    frozen = np.zeros(code.N, dtype=bool)
-    frozen[list(code.frozen_set)] = True
-    u_hat, _ = _sc_recurse(llr, frozen)
-    return u_hat[:, list(code.info_set)]
+    u_hat, _ = _sc_recurse(llr, code.frozen_mask)
+    return u_hat[:, code.info_index]
 
 
 def sc_decode(code, y, sigma):

@@ -333,11 +333,14 @@ _BAD_INPUT = {
                     r"K <= 16"),
     "snr-nnd": ("snr", {}, [], "nnd", r"no denoiser"),
     "pdf-nnd": ("pdf", {}, [], "nnd", r"no denoiser"),
-    # finite values whose noise sigma overflows, underflows or divides by 0
+    # finite values whose noise sigma overflows, underflows or divides by
+    # 0, or whose LLR scale 2 / sigma^2 overflows
     "eval.ebn0_db-4000": ("ber", {"eval": {**EVAL, "ebn0_db": [0.0, 4000.0]}},
                           [], "rnnd", r"eval\.ebn0_db: .*no positive finite"),
     "eval.ebn0_db-1e308": ("ber", {"eval": {**EVAL, "ebn0_db": [1e308]}}, [],
                            None, r"eval\.ebn0_db: .*no positive finite"),
+    "eval.ebn0_db-3080": ("ber", {"eval": {**EVAL, "ebn0_db": [3080.0]}}, [],
+                          None, r"eval\.ebn0_db: .*no positive finite"),
     "eval.ebn0_db--1e308": ("snr", {"eval": {**EVAL, "ebn0_db": [-1e308]}}, [],
                             "rnnd", r"eval\.ebn0_db: .*no positive finite"),
     "eval.pdf_ebn0_db": ("pdf", {"eval": {**EVAL, "pdf_ebn0_db": 1e308}}, [],

@@ -3,6 +3,7 @@
 import ctypes
 import dataclasses
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -131,9 +132,9 @@ def sc_sweep():
 def mlp_sweep(forwarded=False):
     model = tiny_model()
     if forwarded:
-        # a forward in the parent leaves every layer's cache on the
-        # decoder the workers receive
-        model.forward(np.ones((ev.BER_BLOCK_FRAMES, 16)))
+        # a training forward in the parent leaves every layer's cache on
+        # the decoder the workers receive
+        model.forward(np.ones((ev.BER_BLOCK_FRAMES, 16)), keep=True)
     # an untrained decoder makes ~8k bit errors a block, so the rule fires
     # on the third of ten blocks while later ones are still in flight
     return (ev.ModelDecoder(model), [0.0, 2.0, 4.0],
@@ -188,6 +189,27 @@ def test_ber_pool_workers_run_one_blas_thread():
         pytest.skip("numpy has no OpenBLAS thread getter here")
     with ev._make_pool(ev.ScDecoder(CODE), CODE, 1) as pool:
         assert pool.submit(worker_blas_threads).result(timeout=60) == 1
+
+
+def _pickled_size(obj):
+    return len(pickle.dumps(obj))
+
+
+@pytest.mark.parametrize("arch", ["mlp-nnd", "mlp-rnnd", "cnn-nnd", "cnn-rnnd",
+                                  "rnn-nnd", "rnn-rnnd"])
+def test_decoding_keeps_no_training_state(arch):
+    # what a decoder holds after decoding is what the pool ships and what
+    # stays resident between blocks: the weights, not the activations
+    family, variant = arch.split("-")
+    spec = ModelSpec(family=family, variant=variant, N=16, K=8)
+    fresh = _pickled_size(ev.ModelDecoder(build(spec, seed=0)))
+    decoder = ev.ModelDecoder(build(spec, seed=0))
+    msgs, s, y = ev._frames(CODE, ev.BER_BLOCK_FRAMES, 0.8, np.random.default_rng(1))
+    decoder.decode(y, 0.8)
+    assert abs(_pickled_size(decoder) - fresh) <= 2 ** 20
+    decoder.model.loss(y[:64], s[:64], msgs[:64], compute_grads=True)
+    decoder.decode(y, 0.8)
+    assert abs(_pickled_size(decoder) - fresh) <= 2 ** 20
 
 
 def test_ber_workers_validation():

@@ -209,6 +209,35 @@ def test_forward_rejects_bad_width():
         model.forward(np.zeros(16))
 
 
+@pytest.mark.parametrize("batch", [1, 64, 2048])
+@pytest.mark.parametrize("arch", ALL_ARCHS)
+def test_inference_forward_equals_training_forward(arch, batch):
+    model = build(spec_for(arch), seed=16)
+    y = np.random.default_rng(batch).standard_normal((batch, 16))
+    trained = model.forward(y, keep=True)
+    for got, want in zip(model.forward(y), trained):
+        if want is None:
+            assert got is None
+        else:
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("arch", ALL_ARCHS)
+def test_backward_after_inference_forward_raises(arch):
+    # the training step leaves caches on every layer; the inference
+    # forward after it must drop them, not leave them for a backward
+    model = build(spec_for(arch), seed=17)
+    rng = np.random.default_rng(18)
+    y = rng.standard_normal((4, 16))
+    model.loss(y, np.sign(y), rng.integers(0, 2, size=(4, 8)), compute_grads=True)
+    s_hat, u_soft = model.forward(y)
+    with pytest.raises(RuntimeError, match="keep=True"):
+        model.decoder.backward(np.ones_like(u_soft))
+    if s_hat is not None:
+        with pytest.raises(RuntimeError, match="keep=True"):
+            model.denoiser.backward(np.ones_like(s_hat))
+
+
 # ------------------------------------------------------------------------ loss
 
 def test_rnnd_loss_is_sum_of_terms():

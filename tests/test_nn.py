@@ -1,9 +1,10 @@
 """Engine tests: forward oracles, finite-difference gradient checks,
 optimizer behaviour. Parameterless layers (pool, relu, sigmoid) are
 gradient-checked through surrounding affine layers, whose parameter
-gradients are wrong if the intermediate backward is wrong. The conv and
-pool kernels are also held bit for bit to the plain gather/scatter and
-per-tap ``tensordot`` versions below.
+gradients are wrong if the intermediate backward is wrong. The conv, pool
+and LSTM kernels are also held bit for bit to the plain gather/scatter,
+per-tap ``tensordot`` and per-gate versions below, and every layer's
+inference forward to its training forward.
 """
 
 import numpy as np
@@ -76,7 +77,7 @@ def test_maxpool_forward_and_tie_routing():
     np.testing.assert_array_equal(pool.forward(x), [[[3.0, 2.0, 5.0]]])
     # exact tie: gradient goes to the earlier slot
     tie = np.array([[[2.0, 2.0]]])
-    np.testing.assert_array_equal(pool.forward(tie), [[[2.0]]])
+    np.testing.assert_array_equal(pool.forward(tie, keep=True), [[[2.0]]])
     np.testing.assert_array_equal(pool.backward(np.array([[[1.0]]])),
                                   [[[1.0, 0.0]]])
 
@@ -88,8 +89,8 @@ def test_maxpool_rejects_odd_length():
 
 def test_relu_derivative_zero_at_zero():
     relu = ReLU()
-    np.testing.assert_array_equal(relu.forward(np.array([-1.0, 0.0, 2.0])),
-                                  [0.0, 0.0, 2.0])
+    out = relu.forward(np.array([-1.0, 0.0, 2.0]), keep=True)
+    np.testing.assert_array_equal(out, [0.0, 0.0, 2.0])
     np.testing.assert_array_equal(relu.backward(np.ones(3)), [0.0, 0.0, 1.0])
 
 
@@ -222,7 +223,7 @@ def test_maxpool_matches_gather_scatter_reference(batch, channels, half,
     dout = _array(rng, (batch, channels, half), dout_last,
                   values=[-1.0, -0.0, 0.0, 3.0])
     pool = MaxPool1D()
-    out = pool.forward(x)
+    out = pool.forward(x, keep=True)
     dx = pool.backward(dout)
     ref_out, ref_dx = _ref_pool(x, dout)
     assert _bits(out) == _bits(ref_out)
@@ -247,7 +248,7 @@ def _conv_case(batch, c_in, c_out, length, discrete, seed):
 def _conv_run(layer, x, dout):
     layer.w.grad[...] = 0.0
     layer.b.grad[...] = 0.0
-    out = layer.forward(x)
+    out = layer.forward(x, keep=True)
     dx = layer.backward(dout)
     return [_bits(a) for a in (out, dx, layer.w.grad, layer.b.grad)]
 
@@ -277,6 +278,132 @@ def test_conv1d_bits_do_not_depend_on_input_layout(batch, c_in, c_out, length,
     relaid = [np.ascontiguousarray(a.transpose(0, 2, 1)).transpose(0, 2, 1)
               if last else a for a, last in ((x, x_last), (dout, dout_last))]
     assert _conv_run(layer, *relaid) == _conv_run(layer, x, dout)
+
+
+class _RefLSTM(LSTM):
+    """The LSTM as one allocating ``_gate`` call per gate, caching a tuple
+    of fresh arrays per step, with zero-started sums in the backward."""
+
+    def _gate(self, gate, x_t, h_prev):
+        a = x_t @ self.wx[gate].value + h_prev @ self.wh[gate].value + self.b[gate].value
+        if gate == "g":
+            return np.tanh(a)
+        return 1.0 / (1.0 + np.exp(-a))
+
+    def forward(self, x, keep=False):
+        batch, steps, _ = x.shape
+        h = np.zeros((batch, self.n_hidden))
+        c = np.zeros((batch, self.n_hidden))
+        self._steps = []
+        hs = np.zeros((batch, steps, self.n_hidden))
+        for t in range(steps):
+            x_t = x[:, t, :]
+            i, f, g, o = (self._gate(gate, x_t, h) for gate in self.GATES)
+            c_new = f * c + i * g
+            tanh_c = np.tanh(c_new)
+            self._steps.append((x_t, h, c, i, f, g, o, tanh_c))
+            c = c_new
+            h = o * tanh_c
+            hs[:, t, :] = h
+        return hs
+
+    def backward(self, dout):
+        batch, steps, _ = dout.shape
+        dx = np.zeros((batch, steps, self.n_in))
+        dh_next = np.zeros((batch, self.n_hidden))
+        dc_next = np.zeros((batch, self.n_hidden))
+        for t in reversed(range(steps)):
+            x_t, h_prev, c_prev, i, f, g, o, tanh_c = self._steps[t]
+            dh = dout[:, t, :] + dh_next
+            dc = dc_next + dh * o * (1.0 - tanh_c * tanh_c)
+            pre = {
+                "i": dc * g * i * (1.0 - i),
+                "f": dc * c_prev * f * (1.0 - f),
+                "g": dc * i * (1.0 - g * g),
+                "o": dh * tanh_c * o * (1.0 - o),
+            }
+            dc_next = dc * f
+            dh_next = np.zeros_like(dh)
+            dx_t = np.zeros((batch, self.n_in))
+            for gate in self.GATES:
+                self.wx[gate].grad += x_t.T @ pre[gate]
+                self.wh[gate].grad += h_prev.T @ pre[gate]
+                self.b[gate].grad += pre[gate].sum(axis=0)
+                dh_next += pre[gate] @ self.wh[gate].value.T
+                dx_t += pre[gate] @ self.wx[gate].value.T
+            dx[:, t, :] = dx_t
+        return dx
+
+
+def _lstm_run(cls, n_in, hidden, x, dout, seed, start_grads):
+    """Output, dx and every gradient of a ``cls`` layer with weights and
+    nonzero biases drawn from ``seed``; gradients start from zero, or from
+    random values if ``start_grads``."""
+    rng = np.random.default_rng(seed)
+    layer = cls(n_in, hidden, rng)
+    for p in layer.params():
+        if p.name.startswith("b_"):
+            p.value[:] = rng.standard_normal(p.value.shape)
+        p.grad[:] = rng.standard_normal(p.grad.shape) if start_grads else 0.0
+    out = layer.forward(x, keep=True)
+    dx = layer.backward(dout)
+    return [_bits(a) for a in (out, dx, *(p.grad for p in layer.params()))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(batch=st.integers(1, 70), n_in=st.integers(1, 8), hidden=st.integers(1, 40),
+       steps=st.integers(1, 20), discrete=st.booleans(), start_grads=st.booleans(),
+       seed=_SEED)
+def test_lstm_matches_per_gate_reference(batch, n_in, hidden, steps, discrete,
+                                         start_grads, seed):
+    # discrete draws give exact zeros of both signs in the input and in
+    # dout, so gate sums see +0.0 and -0.0 products
+    rng = np.random.default_rng(seed)
+    values = [-1.0, -0.0, 0.0, 0.5, 2.0]
+    x, dout = ((rng.choice(values, size=shape) if discrete
+                else rng.standard_normal(shape))
+               for shape in ((batch, steps, n_in), (batch, steps, hidden)))
+    args = (n_in, hidden, x, dout, seed, start_grads)
+    assert _lstm_run(LSTM, *args) == _lstm_run(_RefLSTM, *args)
+
+
+def _layer_case(kind, batch, rng):
+    """A layer of each type and an input it accepts, at ``batch`` frames."""
+    return {
+        "Affine": lambda: (Affine(16, 32, rng), (batch, 16)),
+        "Conv1D": lambda: (Conv1D(4, 8, rng), (batch, 4, 16)),
+        "MaxPool1D": lambda: (MaxPool1D(), (batch, 4, 16)),
+        "ReLU": lambda: (ReLU(), (batch, 4, 16)),
+        "Sigmoid": lambda: (Sigmoid(), (batch, 16)),
+        "LSTM": lambda: (LSTM(3, 24, rng), (batch, 16, 3)),
+    }[kind]()
+
+
+LAYER_TYPES = ("Affine", "Conv1D", "MaxPool1D", "ReLU", "Sigmoid", "LSTM")
+
+
+@pytest.mark.parametrize("batch", [1, 64, 2048])
+@pytest.mark.parametrize("kind", LAYER_TYPES)
+def test_inference_forward_equals_training_forward(kind, batch):
+    rng = np.random.default_rng(batch)
+    layer, shape = _layer_case(kind, batch, rng)
+    x = rng.standard_normal(shape)
+    trained = layer.forward(x, keep=True)
+    assert _bits(layer.forward(x)) == _bits(trained)
+
+
+@pytest.mark.parametrize("kind", LAYER_TYPES)
+def test_backward_after_inference_forward_raises(kind):
+    # a training forward leaves a cache; the inference forward after it
+    # must drop it, not leave it for a backward to reuse
+    rng = np.random.default_rng(0)
+    layer, shape = _layer_case(kind, 2, rng)
+    x = rng.standard_normal(shape)
+    out = layer.forward(x, keep=True)
+    layer.backward(np.ones_like(out))
+    layer.forward(x)
+    with pytest.raises(RuntimeError, match="keep=True"):
+        layer.backward(np.ones_like(out))
 
 
 # ------------------------------------------------------------------------ loss
@@ -363,7 +490,7 @@ def test_grad_check_catches_wrong_gradient():
             return self.layer.params()
 
         def objective_loss(self, x, target, compute_grads=False):
-            pred = self.layer.forward(x)
+            pred = self.layer.forward(x, keep=compute_grads)
             loss, dpred = mse_loss(pred, target, 2)
             if compute_grads:
                 zero_grads(self.params())
@@ -416,7 +543,7 @@ def test_adam_deterministic_trajectories():
         for _ in range(20):
             x = rng.standard_normal((8, 4))
             t = rng.standard_normal((8, 2))
-            loss, dpred = mse_loss(layer.forward(x), t, 2)
+            loss, dpred = mse_loss(layer.forward(x, keep=True), t, 2)
             opt.zero_grad()
             layer.backward(dpred)
             opt.step()

@@ -117,6 +117,17 @@ def test_construct_deterministic():
     assert construct_code(16, 8) == construct_code(16, 8)
 
 
+def test_code_index_arrays_are_built_once_and_read_only():
+    # every SC decode and encode reads them, so they are shared, not rebuilt
+    code = construct_code(16, 8)
+    for get in (lambda: bit_reversal_permutation(16), lambda: code.info_index,
+                lambda: code.frozen_mask):
+        a = get()
+        assert get() is a and not a.flags.writeable
+    assert code.info_index.tolist() == list(INFO_SET_16_8)
+    assert np.flatnonzero(code.frozen_mask).tolist() == list(code.frozen_set)
+
+
 def test_construct_rejects_bad_shapes():
     with pytest.raises(ValueError):
         construct_code(12, 4)
@@ -193,10 +204,12 @@ def test_ebn0_to_sigma():
         ebn0_to_sigma(0.0, 0.0)
 
 
-@pytest.mark.parametrize("ebn0_db", [4000.0, 1e308, -1e308, -3090.0, np.nan])
+@pytest.mark.parametrize("ebn0_db",
+                         [4000.0, 1e308, -1e308, -3090.0, np.nan, 3080.0])
 def test_ebn0_to_sigma_refuses_values_without_usable_sigma(ebn0_db):
     # 10 ** (ebn0_db / 10) overflows, underflows to zero, or leaves
-    # 1 / (2 R Eb/N0) past the largest float
+    # 1 / (2 R Eb/N0) past the largest float; at 3080 dB sigma is a
+    # positive 1e-154, but the LLR scale 2 / sigma^2 overflows
     with pytest.raises(ValueError, match="no positive finite noise sigma"):
         ebn0_to_sigma(ebn0_db, 0.5)
 
