@@ -134,7 +134,7 @@ def polar_transform(bits):
     bits = np.asarray(bits)
     N = bits.shape[-1]
     _check_block_length(N)
-    x = bits.astype(np.int64).copy()
+    x = bits.astype(np.int64)
     h = 1
     while h < N:
         x = x.reshape(x.shape[:-1] + (N // (2 * h), 2, h))
@@ -144,11 +144,17 @@ def polar_transform(bits):
     return x[..., bit_reversal_permutation(N)]
 
 
+def _all_binary(bits):
+    """True if every element equals 0 or 1. Two comparisons, not ``np.isin``,
+    which sorts: the Monte-Carlo loop checks every block it draws."""
+    return bool(((bits == 0) | (bits == 1)).all())
+
+
 def _validate_bits(bits, length, what):
     bits = np.asarray(bits)
     if bits.shape[-1] != length:
         raise ValueError(f"{what} must have length {length}, got {bits.shape[-1]}")
-    if not np.isin(bits, (0, 1)).all():
+    if not _all_binary(bits):
         raise ValueError(f"{what} must be 0/1 valued")
     return bits.astype(np.int64)
 
@@ -177,7 +183,7 @@ def encode(code, info_bits):
 def bpsk_modulate(bits):
     """Map bits {0, 1} to symbols {+1.0, -1.0}."""
     bits = np.asarray(bits)
-    if not np.isin(bits, (0, 1)).all():
+    if not _all_binary(bits):
         raise ValueError("bpsk_modulate expects 0/1 input")
     return 1.0 - 2.0 * bits.astype(np.float64)
 

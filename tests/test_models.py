@@ -3,10 +3,13 @@ inline arithmetic), residual wiring, loss composition, and end-to-end
 gradient checks on small instances.
 """
 
+import resource
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from polarlab import nn
 from polarlab.models import (
     FAMILIES,
     VARIANTS,
@@ -236,6 +239,20 @@ def test_backward_after_inference_forward_raises(arch):
     if s_hat is not None:
         with pytest.raises(RuntimeError, match="keep=True"):
             model.denoiser.backward(np.ones_like(s_hat))
+
+
+@pytest.mark.skipif(not nn.KEEPS_FREED_HEAP,
+                    reason="no C library mallopt that takes the heap policy")
+def test_warm_inference_forward_does_not_page_fault():
+    # every 2048-frame block frees its temporaries; the next one must reuse
+    # the heap they came from, not fault fresh pages in (about 8k without it)
+    model = build(spec_for("cnn-rnnd"), seed=19)
+    y = np.random.default_rng(20).standard_normal((2048, 16))
+    for _ in range(2):
+        model.forward(y)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    model.forward(y)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
 
 
 # ------------------------------------------------------------------------ loss

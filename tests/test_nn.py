@@ -3,8 +3,9 @@ optimizer behaviour. Parameterless layers (pool, relu, sigmoid) are
 gradient-checked through surrounding affine layers, whose parameter
 gradients are wrong if the intermediate backward is wrong. The conv, pool
 and LSTM kernels are also held bit for bit to the plain gather/scatter,
-per-tap ``tensordot`` and per-gate versions below, and every layer's
-inference forward to its training forward.
+per-tap ``tensordot`` and per-gate versions below, ReLU to its formula on
+C-ordered copies, and every layer's inference forward to its training
+forward.
 """
 
 import numpy as np
@@ -224,10 +225,34 @@ def test_maxpool_matches_gather_scatter_reference(batch, channels, half,
                   values=[-1.0, -0.0, 0.0, 3.0])
     pool = MaxPool1D()
     out = pool.forward(x, keep=True)
+    # a channels-last input still leaves a mask in the gradients' C layout
+    assert pool._cache.flags.c_contiguous
     dx = pool.backward(dout)
     ref_out, ref_dx = _ref_pool(x, dout)
     assert _bits(out) == _bits(ref_out)
     assert _bits(dx) == _bits(ref_dx)
+
+
+@settings(max_examples=200, deadline=None)
+@given(batch=st.integers(1, 70), channels=st.integers(1, 70),
+       length=st.integers(1, 20), channels_last=st.booleans(),
+       dout_last=st.booleans(), seed=_SEED)
+def test_relu_matches_elementwise_reference(batch, channels, length,
+                                            channels_last, dout_last, seed):
+    # the input arrives as a conv output does, possibly a channels-last view;
+    # zeros of both signs and negatives give -0.0 products
+    rng = np.random.default_rng(seed)
+    x = _array(rng, (batch, channels, length), channels_last,
+               values=[-1.5, -0.0, 0.0, 0.25, 2.0])
+    dout = _array(rng, (batch, channels, length), dout_last,
+                  values=[-1.0, -0.0, 0.0, 3.0])
+    relu = ReLU()
+    out = relu.forward(x, keep=True)
+    assert relu._cache.flags.c_contiguous
+    dx = relu.backward(dout)
+    xc, doutc = np.ascontiguousarray(x), np.ascontiguousarray(dout)
+    assert _bits(np.ascontiguousarray(out)) == _bits(xc * (xc > 0))
+    assert _bits(np.ascontiguousarray(dx)) == _bits(doutc * (xc > 0))
 
 
 def _conv_case(batch, c_in, c_out, length, discrete, seed):

@@ -11,6 +11,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from polarlab.polar import (
     PolarCode,
@@ -185,6 +187,28 @@ def test_encode_rejects_bad_input():
         encode(code, np.zeros(7, dtype=np.int64))
     with pytest.raises(ValueError):
         encode(code, np.array([0, 1, 2, 0, 0, 0, 0, 0]))
+
+
+def _bit_like(dtype, values):
+    return arrays(dtype, st.tuples(st.integers(1, 6), st.just(8)),
+                  elements=st.sampled_from(values))
+
+
+@settings(max_examples=300, deadline=None)
+@given(bits=st.one_of(
+    _bit_like(np.int64, [0, 1, 2, -1]), _bit_like(np.int8, [0, 1, -1]),
+    _bit_like(bool, [False, True]),
+    _bit_like(np.float64, [0.0, -0.0, 1.0, 0.5, 2.0, float("nan"), float("inf")])))
+def test_bit_checks_match_isin_reference(bits):
+    # the codec's 0/1 check accepts exactly what np.isin(bits, (0, 1)) does
+    code = construct_code(16, 8)
+    ok = bool(np.isin(bits, (0, 1)).all())
+    for check in (lambda: encode(code, bits), lambda: bpsk_modulate(bits)):
+        if ok:
+            check()
+        else:
+            with pytest.raises(ValueError, match="0/1"):
+                check()
 
 
 # --------------------------------------------------------------------- channel
