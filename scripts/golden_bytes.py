@@ -1,0 +1,93 @@
+"""Print the sha256 of every output of one fixed polarlab run.
+
+    python scripts/golden_bytes.py
+
+The run goes through ``polarlab.cli.main``, into a temporary directory,
+with the ``polarlab`` of the checkout this script sits in and one BLAS
+thread, at seed 11 on the (16, 8) code:
+
+- ``train`` of each of ``ARCHS`` for 3 epochs at batch 64;
+- ``ber`` of SC and those checkpoints at Eb/N0 0 and 2.5 dB, 6,000 frames
+  a point;
+- ``snr`` and ``pdf`` at 5,000 frames on rnn-rnnd and mlp-rnnd;
+- ``params``, whose standard output is hashed as ``params.txt``.
+
+It prints one ``sha256  file`` line per output. Run it in two checkouts and
+diff what they print: equal lines mean byte-identical outputs.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+# before numpy loads: the bits of a gemm can depend on its thread count
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from polarlab import cli  # noqa: E402
+
+ARCHS = ("rnn-nnd", "rnn-rnnd", "mlp-rnnd", "cnn-rnnd", "cnn-nnd")
+DENOISERS = ("rnn-rnnd", "mlp-rnnd")
+BER_FRAMES = 6000
+CONFIG = {
+    "code": {"N": 16, "K": 8},
+    "train": {"batch_size": 64, "epochs": 3},
+    # more bit errors than 6,000 frames can hold, so every point runs them all
+    "eval": {"ebn0_db": [0.0, 2.5], "max_frames": BER_FRAMES,
+             "min_bit_errors": BER_FRAMES * 8 + 1, "frames": 5000},
+    "seed": 11,
+}
+
+
+def _run(*argv):
+    """``polarlab argv``; returns what it printed, raises if it failed."""
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        code = cli.main(list(argv))
+    if code != 0:
+        raise SystemExit(f"polarlab {' '.join(argv)} exited {code}")
+    return printed.getvalue()
+
+
+def run(root):
+    """Run everything under ``root``; returns the outputs' relative paths."""
+    outputs = []
+
+    def config(name, **extra):
+        path = root / f"{name}.json"
+        path.write_text(json.dumps({**CONFIG, **extra}))
+        return str(path)
+
+    for arch in ARCHS:
+        _run("train", "--config", config(arch, arch=arch),
+             "--out", str(root / "train" / arch))
+        outputs += [f"train/{arch}/checkpoint.json", f"train/{arch}/trace.csv"]
+    checkpoints = {arch: str(root / "train" / arch / "checkpoint.json") for arch in ARCHS}
+    # the evaluation commands take the architecture from each checkpoint
+    evaluation = config("eval")
+    _run("ber", "--config", evaluation, "--out", str(root / "ber"), *checkpoints.values())
+    outputs.append("ber/ber.csv")
+    for command in ("snr", "pdf"):
+        for arch in DENOISERS:
+            _run(command, "--config", evaluation, "--out", str(root / command / arch),
+                 checkpoints[arch])
+            outputs.append(f"{command}/{arch}/{command}.csv")
+    (root / "params.txt").write_text(_run("params"))
+    outputs.append("params.txt")
+    return outputs
+
+
+def main():
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name in run(root):
+            print(f"{hashlib.sha256((root / name).read_bytes()).hexdigest()}  {name}")
+
+
+if __name__ == "__main__":
+    main()

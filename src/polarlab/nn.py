@@ -159,6 +159,10 @@ class Conv1D(Layer):
         for k in range(1, self.KERNEL):
             out += np.dot(taps[:, k:k + length].reshape(rows, c_in),
                           self.w.value[:, :, k], out=tap)
+        if out.size == 1 and c_in == 1:
+            # np.dot of two 1x1 operands is a scalar product, -0.0 for
+            # 0.0 * -w; adding +0.0 gives the sign a gemm sum has
+            out += 0.0
         out += self.b.value
         return out.reshape(batch, length, -1).transpose(0, 2, 1)
 
@@ -264,15 +268,29 @@ class LSTM(Layer):
     (hidden, hidden) and a bias (hidden,), initialized uniform within
     +-1/sqrt(hidden) with zero biases. Returns the full hidden sequence.
 
-    A call allocates its step state once and computes each gate in place,
-    with the operations and operands of ``x_t @ Wx + h @ Wh + b`` and
-    ``1 / (1 + exp(-a))``. A training forward caches the input, the gate
-    activations (steps, 4, batch, hidden), h and c from the zero start on
-    (steps + 1, batch, hidden) and tanh(c_t) (steps, batch, hidden); an
-    inference forward reuses one slot of each.
+    A call stacks the per-gate weights once, in ``STACK`` order (i, f, o,
+    g: the logistic gates first), and allocates its step state once. Each
+    step computes the four gates as one (4, batch, hidden) tensor in place:
+    a batched gemm each for ``h @ Wh`` and ``x_t @ Wx`` (a broadcast
+    product when n_in is 1), ``H + X + b``, one logistic over the first
+    three gates and one tanh. Per gate these are the bits of
+    ``x_t @ Wx + h @ Wh + b`` and ``1 / (1 + exp(-a))``. A training forward
+    caches the input, the gate activations (steps, 4, batch, hidden) in
+    ``STACK`` order, h and c from the zero start on (steps + 1, batch,
+    hidden) and tanh(c_t) (steps, batch, hidden); an inference forward
+    reuses one slot of each.
+
+    The backward builds the four pre-activation gradients as one (4,
+    batch, hidden) tensor and accumulates the weight and bias gradients
+    with batched gemms and one sum over the batch into stacked copies,
+    written back to the per-gate ``Param``s at the end. It sums the dh and
+    dx products over the gates in ``GATES`` order (i, f, g, o) from the
+    first product, as a per-gate kernel does; one gemm summing over all
+    four gates would reorder that sum.
     """
 
     GATES = ("i", "f", "g", "o")
+    STACK = ("i", "f", "o", "g")
 
     def __init__(self, n_in, n_hidden, rng):
         limit = 1.0 / np.sqrt(n_hidden)
@@ -291,34 +309,46 @@ class LSTM(Layer):
             out += [self.wx[gate], self.wh[gate], self.b[gate]]
         return out
 
+    def _stacked(self, table, field="value"):
+        """A fresh array of ``table``'s per-gate arrays in ``STACK`` order."""
+        return np.stack([getattr(table[gate], field) for gate in self.STACK])
+
     def forward(self, x, keep=False):
         if x.ndim != 3 or x.shape[2] != self.n_in:
             raise ValueError(f"expected (batch, time, {self.n_in}), got {x.shape}")
         self._cache = None
         batch, steps, _ = x.shape
+        wx, wh = self._stacked(self.wx), self._stacked(self.wh)
+        # repeated along the batch axis: a broadcast add is several times slower
+        b = np.repeat(self._stacked(self.b)[:, None, :], batch, axis=1)
         # step t reads state slot t and writes slot t + 1, modulo the count;
         # one slot is enough, as a step reads all of h and c before it writes
         n_gate, n_state = (steps, steps + 1) if keep else (1, 1)
-        gates = np.empty((n_gate, len(self.GATES), batch, self.n_hidden))
+        gates = np.empty((n_gate, len(self.STACK), batch, self.n_hidden))
         tanh_c = np.empty((n_gate, batch, self.n_hidden))
         h = np.empty((n_state, batch, self.n_hidden))
         c = np.empty((n_state, batch, self.n_hidden))
         h[0] = c[0] = 0.0
+        xw = np.empty((len(self.STACK), batch, self.n_hidden))
         work = np.empty((batch, self.n_hidden))
         hs = np.empty((batch, steps, self.n_hidden))
         for t in range(steps):
             x_t, h_prev, c_prev = x[:, t, :], h[t % n_state], c[t % n_state]
             h_t, c_t = h[(t + 1) % n_state], c[(t + 1) % n_state]
             acts, tc = gates[t % n_gate], tanh_c[t % n_gate]
-            for gate, a in zip(self.GATES, acts):
-                np.matmul(x_t, self.wx[gate].value, out=a)
-                a += np.matmul(h_prev, self.wh[gate].value, out=work)
-                a += self.b[gate].value
-                if gate == "g":
-                    np.tanh(a, out=a)
-                else:
-                    _sigmoid_in_place(a)
-            i, f, g, o = acts
+            # H + X + b has the bits of X + H + b, as addition commutes. A
+            # k=1 gemm is the product x * w but +0.0 where that is -0.0; a
+            # gemm never returns -0.0, so adding H drops that sign again
+            np.matmul(h_prev, wh, out=acts)
+            if self.n_in == 1:
+                np.multiply(x_t, wx, out=xw)
+            else:
+                np.matmul(x_t, wx, out=xw)
+            acts += xw
+            acts += b
+            _sigmoid_in_place(acts[:3])
+            np.tanh(acts[3], out=acts[3])
+            i, f, o, g = acts
             np.multiply(f, c_prev, out=c_t)
             c_t += np.multiply(i, g, out=work)
             np.tanh(c_t, out=tc)
@@ -331,42 +361,58 @@ class LSTM(Layer):
     def backward(self, dout):
         x, gates, h, c, tanh_c = self._saved()
         batch, steps, _ = dout.shape
+        # transposed views, the operands the per-gate products p @ W.T had
+        wx_t = self._stacked(self.wx).transpose(0, 2, 1)
+        wh_t = self._stacked(self.wh).transpose(0, 2, 1)
+        tables = (self.wx, self.wh, self.b)
+        grads = [self._stacked(table, "grad") for table in tables]
+        g_wx, g_wh, g_b = grads
+        d_wx, d_wh, d_b = (np.empty_like(grad) for grad in grads)
+        n_gate = len(self.STACK)
         dx = np.empty((batch, steps, self.n_in))
         dx_t = np.empty((batch, self.n_in))
-        work_x = np.empty((batch, self.n_in))
+        back_x = np.empty((n_gate, batch, self.n_in))
+        back_h = np.empty((n_gate, batch, self.n_hidden))
         dh_next = np.zeros((batch, self.n_hidden))
         dc_next = np.zeros((batch, self.n_hidden))
         dh, dc, work = (np.empty((batch, self.n_hidden)) for _ in range(3))
-        pre = np.empty((len(self.GATES), batch, self.n_hidden))
+        pre = np.empty((n_gate, batch, self.n_hidden))
+        slope = np.empty((3, batch, self.n_hidden))
         for t in reversed(range(steps)):
             x_t, h_prev, c_prev = x[:, t, :], h[t], c[t]
-            i, f, g, o = gates[t]
-            tc = tanh_c[t]
+            acts, tc = gates[t], tanh_c[t]
+            i, f, o, g = acts
             np.add(dout[:, t, :], dh_next, out=dh)
             # dc = dc_next + dh * o * (1 - tc^2)
             np.subtract(1.0, np.multiply(tc, tc, out=work), out=work)
             _product(dc, dh, o, work)
             dc += dc_next
-            pre_i, pre_f, pre_g, pre_o = pre
-            _product(pre_i, dc, g, i, np.subtract(1.0, i, out=work))
-            _product(pre_f, dc, c_prev, f, np.subtract(1.0, f, out=work))
+            # pre_i = dc * g * i * (1 - i), pre_f = dc * c_prev * f * (1 - f),
+            # pre_o = dh * tc * o * (1 - o), pre_g = dc * i * (1 - g^2)
+            np.multiply(dc, g, out=pre[0])
+            np.multiply(dc, c_prev, out=pre[1])
+            np.multiply(dh, tc, out=pre[2])
+            pre[:3] *= acts[:3]
+            pre[:3] *= np.subtract(1.0, acts[:3], out=slope)
             np.subtract(1.0, np.multiply(g, g, out=work), out=work)
-            _product(pre_g, dc, i, work)
-            _product(pre_o, dh, tc, o, np.subtract(1.0, o, out=work))
+            _product(pre[3], dc, i, work)
             np.multiply(dc, f, out=dc_next)
-            # the sums over gates start from the first product, not from
-            # zeros: a gemm never returns -0.0, so 0.0 + p == p
-            for k, (gate, p) in enumerate(zip(self.GATES, pre)):
-                self.wx[gate].grad += x_t.T @ p
-                self.wh[gate].grad += h_prev.T @ p
-                self.b[gate].grad += p.sum(axis=0)
-                if k == 0:
-                    np.matmul(p, self.wh[gate].value.T, out=dh_next)
-                    np.matmul(p, self.wx[gate].value.T, out=dx_t)
-                else:
-                    dh_next += np.matmul(p, self.wh[gate].value.T, out=work)
-                    dx_t += np.matmul(p, self.wx[gate].value.T, out=work_x)
+            g_wx += np.matmul(x_t.T, pre, out=d_wx)
+            g_wh += np.matmul(h_prev.T, pre, out=d_wh)
+            g_b += pre.sum(axis=1, out=d_b)
+            np.matmul(pre, wh_t, out=back_h)
+            np.matmul(pre, wx_t, out=back_x)
+            # in GATES order, i + f + g + o, from the first product: a gemm
+            # never returns -0.0, so this equals a sum started from zeros.
+            # dx_t is contiguous: a row of dx[:, t] is steps rows from the next
+            for out, terms in ((dh_next, back_h), (dx_t, back_x)):
+                np.add(terms[0], terms[1], out=out)
+                out += terms[3]
+                out += terms[2]
             dx[:, t, :] = dx_t
+        for table, grad in zip(tables, grads):
+            for gate, value in zip(self.STACK, grad):
+                table[gate].grad[...] = value
         return dx
 
 

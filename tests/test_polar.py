@@ -159,20 +159,40 @@ def test_unit_vector_encodes_to_matrix_row():
         np.testing.assert_array_equal(encode(code, e), G[i])
 
 
-def test_transform_is_involution():
-    rng = np.random.default_rng(3)
-    for N in (2, 4, 8, 16):
-        u = rng.integers(0, 2, size=(10, N))
-        np.testing.assert_array_equal(polar_transform(polar_transform(u)), u)
+_SEED = st.integers(0, 2**32 - 1)
 
 
-def test_encode_is_linear():
-    rng = np.random.default_rng(11)
-    code = construct_code(16, 16)
-    a = rng.integers(0, 2, size=16)
-    b = rng.integers(0, 2, size=16)
+@st.composite
+def _codes(draw):
+    """A code of length N = 2..1024 with any 1 <= K <= N."""
+    N = 2 ** draw(st.integers(1, 10))
+    return construct_code(N, draw(st.integers(1, N)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=st.integers(1, 10), frames=st.integers(1, 4), seed=_SEED)
+def test_transform_is_involution(m, frames, seed):
+    u = np.random.default_rng(seed).integers(0, 2, size=(frames, 2 ** m))
+    np.testing.assert_array_equal(polar_transform(polar_transform(u)), u)
+
+
+@settings(max_examples=100, deadline=None)
+@given(code=_codes(), seed=_SEED)
+def test_encode_is_linear(code, seed):
+    a, b = np.random.default_rng(seed).integers(0, 2, size=(2, 4, code.K))
     np.testing.assert_array_equal(encode(code, a ^ b),
                                   encode(code, a) ^ encode(code, b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(code=_codes(), frames=st.integers(1, 4),
+       sigma=st.sampled_from([0.1, 0.5, 1.0]), seed=_SEED)
+def test_sc_decodes_noiseless_codewords(code, frames, sigma, seed):
+    # without noise every channel LLR has the sign of its code bit, so each
+    # SC decision is right given the earlier ones and SC returns the message
+    u = np.random.default_rng(seed).integers(0, 2, size=(frames, code.K))
+    y = bpsk_modulate(encode(code, u))
+    np.testing.assert_array_equal(sc_decode_batch(code, y, sigma), u)
 
 
 def test_encode_scatters_frozen_zeros():
