@@ -27,8 +27,8 @@ from dataclasses import dataclass, replace
 
 from polarlab import evaluation as ev
 from polarlab import polar
-from polarlab.models import FAMILIES, VARIANTS, parse_arch_name, build
-from polarlab.nn import param_count
+from polarlab.models import (FAMILIES, VARIANTS, build, parse_arch_name,
+                             spec_param_count)
 from polarlab.training import (TrainConfig, TrainingDiverged, CheckpointError,
                                TraceRow, gen_dataset, train, save_checkpoint,
                                load_checkpoint)
@@ -40,8 +40,19 @@ log = logging.getLogger("polarlab")
 EVAL_STREAM = 2
 
 
+# The longest code a command accepts: the longest 5G NR polar code, and the
+# longest at which every model builds in under 100 MB (the head of a cnn
+# rnnd has 8 N^2 weights). Checked before anything of size N is allocated.
+MAX_N = 1 << 10
+
+
 class UsageError(Exception):
     """Bad invocation or configuration; maps to exit code 2."""
+
+
+def _check_length(N):
+    if N > MAX_N:
+        raise UsageError(f"block length N must be at most {MAX_N}, got {N}")
 
 
 @dataclass(frozen=True)
@@ -77,6 +88,7 @@ class Settings:
     def __post_init__(self):
         if self.seed < 0:
             raise UsageError(f"seed must be non-negative, got {self.seed}")
+        _check_length(self.N)
 
 
 _CODE_KEYS = ("N", "K")
@@ -185,6 +197,7 @@ def _resolve_spec(arch, code=None):
     except ValueError as exc:
         raise UsageError(f"bad architecture name {arch!r}: {exc}; family is "
                          f"one of {FAMILIES} and variant one of {VARIANTS}") from exc
+    _check_length(spec.N)
     if code is not None and (spec.N, spec.K) != (code.N, code.K):
         raise UsageError(f"arch {arch} does not match code ({code.N}, {code.K})")
     return spec
@@ -327,7 +340,7 @@ def cmd_params(args):
     else:
         names = [f"{fam}-{var}-16-8" for fam in FAMILIES for var in VARIANTS]
     for spec in [_resolve_spec(name) for name in names]:
-        print(f"{spec.arch_name} {param_count(build(spec, seed=0))}")
+        print(f"{spec.arch_name} {spec_param_count(spec)}")
     return 0
 
 

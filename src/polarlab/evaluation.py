@@ -310,6 +310,8 @@ def timing_bench(code, decoders, frames, ebn0_db=0.0, batch=1024, rng=None):
 
     The SC baseline is timed frame by frame (its natural sequential form);
     neural decoders are timed over batched forwards of size ``batch``.
+    ``TimingRow.batch`` is the size of each decode call, not of the tiles
+    a cnn or rnn model splits that call into.
     Raw numbers only; rows are not comparable claims.
     """
     if frames < 1:

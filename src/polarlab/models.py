@@ -10,6 +10,7 @@ bottleneck, and trains on the decoding term alone.
 
 import numpy as np
 from dataclasses import dataclass
+from itertools import accumulate
 
 from polarlab.nn import (
     Affine,
@@ -224,6 +225,30 @@ def spec_param_count(spec):
                for n, widths, dims_out, _ in _stack_plans(spec))
 
 
+# Frames per tile of an inference forward. A 2048-frame block's temporaries
+# are 4-16 MiB each and come from L3; a cnn tile of 64 frames or an rnn tile
+# of 128 keeps them in a 2 MiB L2. An mlp's are small already, and its few
+# gemms use every BLAS thread on the whole block, so it is not tiled.
+INFERENCE_TILE = {"mlp": None, "cnn": 64, "rnn": 128}
+
+
+def tile_slices(batch, tile):
+    """Contiguous row slices that split ``batch`` frames into the fewest
+    tiles of at most ``tile`` frames, near-equal as ``np.array_split``
+    makes them. For ``tile >= 3`` no tile is a single frame unless the
+    batch is, since a one-row product goes to gemv and changes the bits.
+    """
+    count = max(1, -(-batch // tile))
+    size, extra = divmod(batch, count)
+    bounds = list(accumulate([size + 1] * extra + [size] * (count - extra),
+                             initial=0))
+    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def _join(parts):
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 class Model:
     """A built decoder (optionally with its residual denoiser)."""
 
@@ -252,17 +277,36 @@ class Model:
         """Returns ``(s_hat, u_soft)``; ``s_hat`` is None for NND variants.
 
         Only with ``keep`` do the layers keep what a backward needs; by
-        default the model holds no activations afterwards.
+        default the model holds no activations afterwards, and the batch
+        runs through the whole chain one tile of frames at a time.
         """
-        if self.denoiser is None:
-            return None, self.decoder.forward(self._check_input(y), keep)
-        s_hat = self.denoise(y, keep)
-        return s_hat, self.decoder.forward(s_hat, keep)
+        y = self._check_input(y)
+        if keep:
+            return self._forward(y, keep)
+        tiles = [self._forward(y[rows]) for rows in self._tiles(len(y))]
+        return tuple(None if part[0] is None else _join(part)
+                     for part in zip(*tiles))
 
     def denoise(self, y, keep=False):
+        """``s_hat`` alone, tiled as ``forward`` is unless ``keep``."""
         if self.denoiser is None:
             raise ValueError(f"{self.spec.arch_name} has no denoiser stage")
         y = self._check_input(y)
+        if keep:
+            return self._denoise(y, keep)
+        return _join([self._denoise(y[rows]) for rows in self._tiles(len(y))])
+
+    def _tiles(self, batch):
+        tile = INFERENCE_TILE[self.spec.family]
+        return [slice(0, batch)] if tile is None else tile_slices(batch, tile)
+
+    def _forward(self, y, keep=False):
+        if self.denoiser is None:
+            return None, self.decoder.forward(y, keep)
+        s_hat = self._denoise(y, keep)
+        return s_hat, self.decoder.forward(s_hat, keep)
+
+    def _denoise(self, y, keep=False):
         return y + self.denoiser.forward(y, keep)
 
     def loss(self, y, s_true, u_true, compute_grads=False):
@@ -286,10 +330,6 @@ class Model:
             d_s_total = d_s + self.decoder.backward(d_u)
             self.denoiser.backward(d_s_total)
         return LossValues(total=denoise + decode, denoise=denoise, decode=decode)
-
-    def objective_loss(self, x, target, compute_grads=False):
-        s_true, u_true = target
-        return self.loss(x, s_true, u_true, compute_grads=compute_grads).total
 
 
 def build(spec, seed):

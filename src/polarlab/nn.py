@@ -14,23 +14,25 @@ Importing this module makes the process keep its freed heap (glibc only;
 elsewhere nothing changes). An inference forward frees all of its
 temporaries when it returns. By default glibc hands that memory back to
 the kernel, and the next block of the same size faults every page of it
-in again: about 8k minor faults a 2048-frame ``cnn-rnnd`` forward. With
-the heap kept, warm forwards fault none.
+in again: about 15k minor faults a 2048-frame ``cnn-rnnd`` forward, run in
+32 tiles. With the heap kept, warm forwards fault none.
 """
 
 import ctypes
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 # glibc's mallopt parameter numbers, from <malloc.h>
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 # Allocations below this size come from the heap, whose freed pages can be
-# reused, not from a private mapping that free unmaps at once. The largest
-# temporary of a 2048-frame decode block is 16 MiB (64 channels by 16
-# positions a frame), of a 4096-frame snr/pdf chunk 32 MiB, which is also
-# the largest value glibc accepts on 64-bit hosts. Setting it stops glibc
-# from moving this threshold and the next one by itself.
+# reused, not from a private mapping that free unmaps at once. A cnn or rnn
+# model runs inference in tiles of at most 128 frames, whose temporaries
+# stay under 2 MiB; the largest temporary left is an untiled mlp's 128-wide
+# layer over a 4096-frame snr/pdf chunk, 4 MiB. 32 MiB, the largest value
+# glibc accepts on 64-bit hosts, keeps all of them on the heap with room to
+# spare. Setting it stops glibc from moving this threshold and the next one
+# by itself.
 MMAP_THRESHOLD = 32 << 20
 # The heap is trimmed only once this much is free at its top, more than a
 # decode block or a training step frees at once, so the next one reuses the
@@ -495,72 +497,3 @@ class Adam:
 
     def zero_grad(self):
         zero_grads(self._params)
-
-
-class MseObjective:
-    """Wraps a stack with an MSE head so grad_check can drive it.
-
-    ``normalizer`` defaults to the number of output features per sample.
-    """
-
-    def __init__(self, stack, normalizer=None):
-        self.stack = stack
-        self.normalizer = normalizer
-
-    def params(self):
-        return self.stack.params()
-
-    def objective_loss(self, x, target, compute_grads=False):
-        pred = self.stack.forward(x, keep=compute_grads)
-        norm = self.normalizer or int(np.prod(pred.shape[1:] or pred.shape))
-        loss, dpred = mse_loss(pred, target, norm)
-        if compute_grads:
-            zero_grads(self.stack.params())
-            self.stack.backward(dpred)
-        return loss
-
-
-@dataclass
-class GradCheckReport:
-    max_rel_error: float
-    worst_param: str
-    worst_index: int
-    passed: bool
-    tolerance: float
-    details: dict = field(default_factory=dict)
-
-
-def grad_check(objective, x, target, tolerance=1e-4, step=1e-5):
-    """Compare analytic gradients against central finite differences.
-
-    ``objective`` must expose ``params()`` and
-    ``objective_loss(x, target, compute_grads)``; with ``compute_grads``
-    the call must populate every parameter's ``grad``. The error for each
-    component is ``|analytic - numeric| / max(|analytic| + |numeric|, 1e-3)``
-    and the report carries the maximum over all components.
-    """
-    params = objective.params()
-    zero_grads(params)
-    objective.objective_loss(x, target, compute_grads=True)
-    analytic = [p.grad.copy() for p in params]
-
-    report = GradCheckReport(0.0, "", -1, True, tolerance)
-    for p, grad in zip(params, analytic):
-        flat = p.value.reshape(-1)
-        gflat = grad.reshape(-1)
-        for j in range(flat.size):
-            keep = flat[j]
-            flat[j] = keep + step
-            hi = objective.objective_loss(x, target)
-            flat[j] = keep - step
-            lo = objective.objective_loss(x, target)
-            flat[j] = keep
-            numeric = (hi - lo) / (2.0 * step)
-            rel = abs(gflat[j] - numeric) / max(abs(gflat[j]) + abs(numeric), 1e-3)
-            if rel > report.max_rel_error:
-                report.max_rel_error = rel
-                report.worst_param = p.name
-                report.worst_index = j
-    report.passed = report.max_rel_error < tolerance
-    report.details = {"step": step, "n_params": sum(p.value.size for p in params)}
-    return report

@@ -20,9 +20,11 @@ from polarlab import evaluation as ev
 from polarlab import polar
 from polarlab.models import (AsChannels, AsSequence, Flatten, TakeLast,
                              ModelSpec, build)
-from polarlab.nn import (Affine, Conv1D, LSTM, MaxPool1D, MseObjective, ReLU,
-                         Sequential, Sigmoid, grad_check)
+from polarlab.nn import (Affine, Conv1D, LSTM, MaxPool1D, ReLU, Sequential,
+                         Sigmoid)
 from polarlab.training import TrainConfig, gen_dataset, train
+
+from gradcheck import ModelObjective, MseObjective, grad_check
 
 SEED = 1
 EPOCHS = 2 ** 12
@@ -122,7 +124,7 @@ def test_criterion_02_gradient_correctness(code16):
         y = rng.standard_normal((3, 4))
         s = polar.bpsk_modulate(rng.integers(0, 2, size=(3, 4)))
         u = rng.integers(0, 2, size=(3, 2)).astype(float)
-        report = grad_check(model, y, (s, u), tolerance=1e-4)
+        report = grad_check(ModelObjective(model), y, (s, u), tolerance=1e-4)
         assert report.passed, (f"end-to-end seed {seed}: rel err "
                                f"{report.max_rel_error:.3e} at "
                                f"{report.worst_param}")

@@ -331,6 +331,11 @@ _BAD_INPUT = {
                     r"N must be divisible by 16"),
     "train-32-20": ("train", {"code": {"N": 32, "K": 20}}, [], None,
                     r"K <= 16"),
+    # a code this long would allocate gigabytes before any other check
+    "code.N-2^30": ("train", {"code": {"N": 2 ** 30, "K": 8}}, [], None,
+                    r"N must be at most 1024"),
+    "arch-2^30": ("train", {"arch": "mlp-rnnd-1073741824-8"}, [], None,
+                  r"N must be at most 1024"),
     "snr-nnd": ("snr", {}, [], "nnd", r"no denoiser"),
     "pdf-nnd": ("pdf", {}, [], "nnd", r"no denoiser"),
     # finite values whose noise sigma overflows, underflows or divides by
@@ -444,6 +449,20 @@ def test_params_bad_arch_lists_valid_names(capsys):
     assert run("params", "transformer-xxl") == 2
     err = capsys.readouterr().err
     assert "mlp" in err and "rnnd" in err
+
+
+def test_params_refuses_oversized_code_before_building(tmp_path, capsys,
+                                                       monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run("params", "cnn-rnnd-1073741824-8") == 2
+    err = capsys.readouterr().err
+    assert "N must be at most 1024" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_params_at_the_longest_code(capsys):
+    assert run("params", "cnn-rnnd-1024-8") == 0
+    assert capsys.readouterr().out.split()[0] == "cnn-rnnd-1024-8"
 
 
 def test_bad_arch_odd_shape_lists_valid_names(capsys):

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from polarlab import nn
 from polarlab.models import (
     FAMILIES,
+    INFERENCE_TILE,
     VARIANTS,
     Model,
     ModelSpec,
@@ -19,8 +20,11 @@ from polarlab.models import (
     hard_decision,
     parse_arch_name,
     spec_param_count,
+    tile_slices,
 )
-from polarlab.nn import grad_check, mse_loss, param_count
+from polarlab.nn import mse_loss, param_count
+
+from gradcheck import ModelObjective, grad_check
 
 ALL_ARCHS = ["mlp-nnd", "mlp-rnnd", "cnn-nnd", "cnn-rnnd", "rnn-nnd", "rnn-rnnd"]
 
@@ -212,17 +216,39 @@ def test_forward_rejects_bad_width():
         model.forward(np.zeros(16))
 
 
-@pytest.mark.parametrize("batch", [1, 64, 2048])
+# both sides of every boundary of a 64- and a 128-frame tile, the decode block
+# and two blocks
+@pytest.mark.parametrize("batch",
+                         [1, 2, 63, 64, 65, 127, 128, 129, 257, 2048, 4096])
 @pytest.mark.parametrize("arch", ALL_ARCHS)
 def test_inference_forward_equals_training_forward(arch, batch):
+    # the training forward runs the batch whole, the inference forward in
+    # tiles; the bits must not tell them apart
     model = build(spec_for(arch), seed=16)
     y = np.random.default_rng(batch).standard_normal((batch, 16))
-    trained = model.forward(y, keep=True)
-    for got, want in zip(model.forward(y), trained):
-        if want is None:
-            assert got is None
-        else:
-            assert got.tobytes() == want.tobytes()
+    s_want, u_want = model.forward(y, keep=True)
+    s_got, u_got = model.forward(y)
+    assert u_got.tobytes() == u_want.tobytes()
+    if s_want is None:
+        assert s_got is None
+    else:
+        assert s_got.tobytes() == s_want.tobytes()
+        assert model.denoise(y).tobytes() == s_want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "tile", [3, 4, 5] + sorted(t for t in INFERENCE_TILE.values() if t))
+def test_tile_slices_cover_rows_in_order_without_single_frames(tile):
+    for batch in range(1, 2 * tile + 4):
+        tiles = tile_slices(batch, tile)
+        assert tiles[0].start == 0 and tiles[-1].stop == batch
+        assert all(a.stop == b.start for a, b in zip(tiles, tiles[1:]))
+        sizes = [t.stop - t.start for t in tiles]
+        assert max(sizes) <= tile
+        assert min(sizes) >= min(batch, 2)
+        # the fewest tiles that fit, and near-equal
+        assert len(tiles) == -(-batch // tile)
+        assert max(sizes) - min(sizes) <= 1
 
 
 @pytest.mark.parametrize("arch", ALL_ARCHS)
@@ -245,7 +271,7 @@ def test_backward_after_inference_forward_raises(arch):
                     reason="no C library mallopt that takes the heap policy")
 def test_warm_inference_forward_does_not_page_fault():
     # every 2048-frame block frees its temporaries; the next one must reuse
-    # the heap they came from, not fault fresh pages in (about 8k without it)
+    # the heap they came from, not fault fresh pages in (about 15k without it)
     model = build(spec_for("cnn-rnnd"), seed=19)
     y = np.random.default_rng(20).standard_normal((2048, 16))
     for _ in range(2):
@@ -312,7 +338,7 @@ def test_grad_end_to_end_mlp_rnnd_toy(seed):
     rng = np.random.default_rng(seed + 100)
     _randomize(model, rng)
     y, target = _toy_target(rng, 4, 2)
-    report = grad_check(model, y, target, tolerance=1e-4)
+    report = grad_check(ModelObjective(model), y, target, tolerance=1e-4)
     assert report.passed, f"{report.max_rel_error:.3e} at {report.worst_param}"
 
 
@@ -324,7 +350,7 @@ def test_grad_end_to_end_cnn_rnnd_toy(seed):
     rng = np.random.default_rng(seed + 200)
     _randomize(model, rng)
     y, target = _toy_target(rng, 4, 2)
-    report = grad_check(model, y, target, tolerance=1e-4)
+    report = grad_check(ModelObjective(model), y, target, tolerance=1e-4)
     assert report.passed, f"{report.max_rel_error:.3e} at {report.worst_param}"
 
 
@@ -335,7 +361,7 @@ def test_grad_end_to_end_rnn_rnnd_toy(seed):
     rng = np.random.default_rng(seed + 300)
     _randomize(model, rng)
     y, target = _toy_target(rng, 4, 2)
-    report = grad_check(model, y, target, tolerance=1e-4)
+    report = grad_check(ModelObjective(model), y, target, tolerance=1e-4)
     assert report.passed, f"{report.max_rel_error:.3e} at {report.worst_param}"
 
 
@@ -348,6 +374,6 @@ def test_grad_end_to_end_nnd_toys(seed):
         rng = np.random.default_rng(seed + 400)
         _randomize(model, rng)
         y, target = _toy_target(rng, 4, 2)
-        report = grad_check(model, y, target, tolerance=1e-4)
+        report = grad_check(ModelObjective(model), y, target, tolerance=1e-4)
         assert report.passed, (
             f"{spec.arch_name}: {report.max_rel_error:.3e} at {report.worst_param}")

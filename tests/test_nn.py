@@ -18,16 +18,16 @@ from polarlab.nn import (
     Conv1D,
     LSTM,
     MaxPool1D,
-    MseObjective,
     Param,
     ReLU,
     Sequential,
     Sigmoid,
-    grad_check,
     mse_loss,
     param_count,
     zero_grads,
 )
+
+from gradcheck import MseObjective, grad_check
 
 SEEDS = list(range(20))
 
