@@ -8,12 +8,15 @@ thread, at seed 11 on the (16, 8) code:
 
 - ``train`` of each of ``ARCHS`` for 3 epochs at batch 64;
 - ``ber`` of SC and those checkpoints at Eb/N0 0 and 2.5 dB, 6,000 frames
-  a point;
+  a point, serial and again with ``--workers 2``;
 - ``snr`` and ``pdf`` at 5,000 frames on rnn-rnnd and mlp-rnnd;
 - ``params``, whose standard output is hashed as ``params.txt``.
 
 It prints one ``sha256  file`` line per output. Run it in two checkouts and
-diff what they print: equal lines mean byte-identical outputs.
+diff what they print: equal lines mean byte-identical outputs. It exits
+non-zero, with a message on standard error, if the pooled ``ber.csv``
+differs from the serial one in any byte; the pooled file gets no line of
+its own, so the output diffs against checkouts that did not run it.
 """
 
 import contextlib
@@ -70,7 +73,11 @@ def run(root):
     checkpoints = {arch: str(root / "train" / arch / "checkpoint.json") for arch in ARCHS}
     # the evaluation commands take the architecture from each checkpoint
     evaluation = config("eval")
-    _run("ber", "--config", evaluation, "--out", str(root / "ber"), *checkpoints.values())
+    for out, workers in (("ber", "1"), ("ber-pooled", "2")):
+        _run("ber", "--config", evaluation, "--out", str(root / out),
+             "--workers", workers, *checkpoints.values())
+    if (root / "ber-pooled/ber.csv").read_bytes() != (root / "ber/ber.csv").read_bytes():
+        raise SystemExit("ber --workers 2 wrote a ber.csv that differs from the serial one")
     outputs.append("ber/ber.csv")
     for command in ("snr", "pdf"):
         for arch in DENOISERS:

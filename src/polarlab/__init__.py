@@ -1,27 +1,3 @@
 """Polar-code decoding lab: SC baseline, trainable neural decoders, harness."""
 
-from polarlab.polar import (
-    PolarCode,
-    construct_code,
-    encode,
-    polar_transform,
-    bpsk_modulate,
-    ebn0_to_sigma,
-    awgn_channel,
-    sc_decode,
-    sc_decode_batch,
-)
-
-__all__ = [
-    "PolarCode",
-    "construct_code",
-    "encode",
-    "polar_transform",
-    "bpsk_modulate",
-    "ebn0_to_sigma",
-    "awgn_channel",
-    "sc_decode",
-    "sc_decode_batch",
-]
-
 __version__ = "0.1.0"

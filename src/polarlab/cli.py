@@ -231,7 +231,7 @@ def _load_model(path, code):
         raise UsageError(f"checkpoint {path} is for code "
                          f"({model.spec.N}, {model.spec.K}), expected "
                          f"({code.N}, {code.K})")
-    log.info("loaded %s (epoch %d) from %s", meta.arch_name, meta.epoch, path)
+    log.info("loaded %s (epoch %d) from %s", meta.spec.arch_name, meta.epoch, path)
     return model
 
 

@@ -14,6 +14,7 @@ import contextlib
 import csv
 import ctypes
 import dataclasses
+import functools
 import os
 import time
 
@@ -118,9 +119,16 @@ def _chunks(total, size):
         yield min(size, total - lo)
 
 
+# (restype, argtypes) of the OpenBLAS functions called here
+_OPENBLAS_TYPES = {"get_num_threads": (ctypes.c_int, []),
+                   "set_num_threads": (None, [ctypes.c_int])}
+
+
+@functools.cache
 def _openblas_function(name):
     """``openblas_<name>`` of the OpenBLAS loaded into this process, under
-    any of the symbol spellings numpy's builds use, or None if none is."""
+    any of the symbol spellings numpy's builds use, typed, or None if none
+    is. Looked up once per process; forked workers inherit the lookup."""
     try:
         with open("/proc/self/maps") as fh:
             libs = sorted({line.split()[-1] for line in fh
@@ -133,8 +141,20 @@ def _openblas_function(name):
                        f"scipy_openblas_{name}64_", f"scipy_openblas_{name}"):
             fn = getattr(lib, symbol, None)
             if fn is not None:
+                fn.restype, fn.argtypes = _OPENBLAS_TYPES[name]
                 return fn
     return None
+
+
+def _swap_blas_threads(n):
+    """Set OpenBLAS to ``n`` threads unless it has ``n``; returns the count
+    it had, or None without OpenBLAS. In a fresh fork, any set call starts
+    a server thread, which then busy-waits."""
+    get_threads = _openblas_function("get_num_threads")
+    old = None if get_threads is None else get_threads()
+    if old not in (None, n):
+        _openblas_function("set_num_threads")(n)
+    return old
 
 
 # (decoder, code) of a pool worker, set once by its initializer
@@ -144,13 +164,8 @@ _worker = None
 def _init_worker(decoder, code):
     global _worker
     _worker = (decoder, code)
-    # workers share the cores among themselves; BLAS threads on top of
-    # them only oversubscribe
-    set_threads = _openblas_function("set_num_threads")
-    if set_threads is not None:
-        set_threads.argtypes = [ctypes.c_int]
-        set_threads.restype = None
-        set_threads(1)
+    # a no-op under fork; other start methods do not inherit the count
+    _swap_blas_threads(1)
 
 
 def _worker_block(sigma, frames, base, point_idx, block_idx):
@@ -163,12 +178,22 @@ def _usable_cpus():
     return os.cpu_count() or 1
 
 
+@contextlib.contextmanager
 def _make_pool(decoder, code, processes):
-    """A pool whose workers each hold ``decoder`` and ``code`` and run one
-    BLAS thread. The pair reaches a worker once, at its start (inherited
-    under fork), not with every task."""
-    return ProcessPoolExecutor(max_workers=processes, initializer=_init_worker,
-                               initargs=(decoder, code))
+    """A pool, for a ``with`` block, whose workers each hold ``decoder`` and
+    ``code`` and run one BLAS thread, as they share the cores. All of it
+    reaches a worker at its start, by fork: the parent holds one BLAS
+    thread until the pool is shut down (a fork pool forks at its first
+    ``submit``), so no worker sets it and starts an OpenBLAS thread that
+    busy-waits. The parent's count is restored, also on error."""
+    before = _swap_blas_threads(1)
+    try:
+        with ProcessPoolExecutor(max_workers=processes, initializer=_init_worker,
+                                 initargs=(decoder, code)) as pool:
+            yield pool
+    finally:
+        if before is not None:
+            _swap_blas_threads(before)
 
 
 def _block_results(decoder, code, sigma, stop, base, point_idx, pool, window):

@@ -139,7 +139,7 @@ def train(model, dataset, config, rng=None, epoch_callback=None):
 
 @dataclass(frozen=True)
 class CheckpointMeta:
-    arch_name: str
+    spec: ModelSpec
     seed: int
     epoch: int
 
@@ -237,6 +237,4 @@ def load_checkpoint(path):
             raise error(f"tensor {name!r} has shape {stored[name].shape}, "
                         f"expected {p.value.shape}")
         p.value[...] = stored[name]
-    meta = CheckpointMeta(arch_name=spec.arch_name, seed=doc["seed"],
-                          epoch=doc["epoch"])
-    return model, meta
+    return model, CheckpointMeta(spec=spec, seed=doc["seed"], epoch=doc["epoch"])

@@ -43,7 +43,7 @@ def test_train_writes_checkpoint_and_trace(tmp_path, capsys):
     out = tmp_path / "run"
     assert run("train", "--config", cfg, "--out", str(out)) == 0
     model, meta = load_checkpoint(out / "checkpoint.json")
-    assert meta.arch_name == "mlp-rnnd-8-4"
+    assert meta.spec.arch_name == "mlp-rnnd-8-4"
     assert meta.seed == 5
     assert meta.epoch == 3
     trace = ev.read_rows(out / "trace.csv", TraceRow)

@@ -1,6 +1,5 @@
 """Tests for the Monte-Carlo evaluation harness and its CSV formats."""
 
-import ctypes
 import dataclasses
 import os
 import pickle
@@ -177,18 +176,63 @@ def test_ber_pool_capped_at_usable_cpus(monkeypatch):
     assert pool_size(500) == 5
 
 
-def worker_blas_threads():
-    get_threads = ev._openblas_function("get_num_threads")
-    get_threads.argtypes = []
-    get_threads.restype = ctypes.c_int
-    return get_threads()
+def blas_threads():
+    return ev._openblas_function("get_num_threads")()
 
 
-def test_ber_pool_workers_run_one_blas_thread():
+def process_threads():
+    """(OS threads, BLAS threads) of the calling process; OS threads are
+    None where there is no /proc to count them."""
+    try:
+        return len(os.listdir("/proc/self/task")), blas_threads()
+    except FileNotFoundError:
+        return None, blas_threads()
+
+
+@pytest.fixture
+def two_blas_threads():
+    """The parent at two BLAS threads, so a change of its count shows;
+    its own count is put back afterwards."""
     if ev._openblas_function("get_num_threads") is None:
-        pytest.skip("numpy has no OpenBLAS thread getter here")
+        pytest.skip("numpy has no OpenBLAS thread controls here")
+    before = ev._swap_blas_threads(2)
+    yield
+    ev._swap_blas_threads(before)
+
+
+def test_ber_pool_workers_run_one_blas_thread(two_blas_threads):
     with ev._make_pool(ev.ScDecoder(CODE), CODE, 1) as pool:
-        assert pool.submit(worker_blas_threads).result(timeout=60) == 1
+        threads, blas = pool.submit(process_threads).result(timeout=60)
+    assert blas == 1
+    assert blas_threads() == 2
+    if threads is None:
+        pytest.skip("no /proc/self/task to count a worker's threads")
+    # an OpenBLAS server thread started in a worker would busy-wait beside it
+    assert threads == 1
+
+
+def test_ber_pool_parent_blas_threads_restored_on_error(two_blas_threads,
+                                                        monkeypatch):
+    seen = []
+
+    class NoPool:
+        def __init__(self, max_workers, **kwargs):
+            seen.append(blas_threads())
+            raise RuntimeError("no pool started")
+
+    monkeypatch.setattr(ev, "ProcessPoolExecutor", NoPool)
+    with pytest.raises(RuntimeError, match="no pool started"):
+        ev.ber_eval(ev.ScDecoder(CODE), CODE, [1.0], workers=2)
+    # one thread while the pool would fork, the old count after
+    assert seen == [1]
+    assert blas_threads() == 2
+
+
+def test_init_worker_sets_one_blas_thread(two_blas_threads, monkeypatch):
+    # what a worker that did not inherit the parent's count does
+    monkeypatch.setattr(ev, "_worker", None)
+    ev._init_worker(ev.ScDecoder(CODE), CODE)
+    assert blas_threads() == 1
 
 
 def _pickled_size(obj):

@@ -181,7 +181,7 @@ def test_checkpoint_round_trip(tmp_path, spec):
 
     loaded, meta = load_checkpoint(path)
     assert loaded.spec == spec
-    assert meta.arch_name == spec.arch_name
+    assert meta.spec == spec
     assert meta.seed == 6 and meta.epoch == 3
     for (n1, p1), (n2, p2) in zip(model.named_params(), loaded.named_params()):
         assert n1 == n2
