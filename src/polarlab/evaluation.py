@@ -63,8 +63,8 @@ class TimingRow:
 
 @dataclass(frozen=True)
 class StopRule:
-    min_bit_errors: int = 100
-    max_frames: int = 1_000_000
+    min_bit_errors: int
+    max_frames: int
 
     def __post_init__(self):
         if self.min_bit_errors < 0:
@@ -76,9 +76,9 @@ class StopRule:
 class ScDecoder:
     """Adapter giving the SC baseline the common decode interface."""
 
-    def __init__(self, code, name="sc"):
+    def __init__(self, code):
         self.code = code
-        self.name = name
+        self.name = "sc"
 
     def decode(self, y, sigma):
         return polar.sc_decode_batch(self.code, y, sigma)
@@ -87,9 +87,9 @@ class ScDecoder:
 class ModelDecoder:
     """Adapter running a neural decoder batched; ``sigma`` is ignored."""
 
-    def __init__(self, model, name=None):
+    def __init__(self, model):
         self.model = model
-        self.name = name or model.spec.arch_name
+        self.name = model.spec.arch_name
 
     def decode(self, y, sigma):
         _, u_soft = self.model.forward(y)
@@ -220,17 +220,16 @@ def _block_results(decoder, code, sigma, stop, base, point_idx, pool, window):
             fut.cancel()
 
 
-def ber_eval(decoder, code, ebn0_list, stop=StopRule(), rng=None, workers=1):
+def ber_eval(decoder, code, ebn0_list, stop, *, rng, workers=1):
     """Estimate bit error rate at each Eb/N0 point.
 
     Each point simulates random-message frames until ``stop.min_bit_errors``
     bit errors have been seen or ``stop.max_frames`` frames are spent,
-    counting errors over information bits. Results depend only on the
-    state of ``rng`` at entry, not on ``workers``. ``workers > 1`` runs
-    the whole sweep on one pool of ``min(workers, usable CPUs)`` processes.
+    counting errors over information bits. ``rng`` is the caller's tagged
+    evaluation stream; results depend only on its state at entry, not on
+    ``workers``. ``workers > 1`` runs the whole sweep on one pool of
+    ``min(workers, usable CPUs)`` processes.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     base = int(rng.integers(0, 2 ** 63))
@@ -257,14 +256,8 @@ def ber_eval(decoder, code, ebn0_list, stop=StopRule(), rng=None, workers=1):
 
 
 SNR_CHUNK_FRAMES = 4096
-
-
-def _check_denoise_args(model, frames):
-    if model.denoiser is None:
-        raise ValueError(f"{model.spec.arch_name} has no denoiser stage "
-                         "(rnnd variants only)")
-    if frames < 1:
-        raise ValueError("frames must be >= 1")
+# the symbol range pdf_hist bins
+PDF_LO, PDF_HI = -4.0, 4.0
 
 
 def _denoised_chunks(model, code, sigma, frames, rng):
@@ -275,15 +268,15 @@ def _denoised_chunks(model, code, sigma, frames, rng):
         yield s, y, model.denoise(y)
 
 
-def snr_gain(model, code, ebn0_list, frames, rng=None):
+def snr_gain(model, code, ebn0_list, frames, rng):
     """Input and output SNR (dB) of the denoiser stage at each Eb/N0 point.
 
     SNR is ``10 log10(sum s^2 / sum (v - s)^2)`` over all simulated symbols,
-    with ``v`` the received (input) or denoised (output) signal.
+    with ``v`` the received (input) or denoised (output) signal. ``rng`` is
+    the caller's tagged evaluation stream.
     """
-    _check_denoise_args(model, frames)
-    if rng is None:
-        rng = np.random.default_rng(0)
+    if frames < 1:
+        raise ValueError("frames must be >= 1")
     rows = []
     for ebn0_db in ebn0_list:
         sigma = polar.ebn0_to_sigma(ebn0_db, code.rate)
@@ -299,27 +292,25 @@ def snr_gain(model, code, ebn0_list, frames, rng=None):
     return rows
 
 
-def pdf_hist(model, code, ebn0_db, frames, rng=None, bins=80, lo=-4.0, hi=4.0):
-    """Histogram densities of received vs denoised symbol values.
+def pdf_hist(model, code, ebn0_db, frames, rng, bins):
+    """Histogram densities of received vs denoised symbol values, with
+    ``rng`` the caller's tagged evaluation stream.
 
-    Values outside ``[lo, hi]`` are clipped into the edge bins; each
-    density column integrates to 1 over the range.
+    ``bins`` bins span the fixed range ``[PDF_LO, PDF_HI]``; values outside
+    it are clipped into the edge bins, so each density column integrates to 1.
     """
-    _check_denoise_args(model, frames)
+    if frames < 1:
+        raise ValueError("frames must be >= 1")
     if bins < 10:
         raise ValueError("bins must be >= 10")
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    if rng is None:
-        rng = np.random.default_rng(0)
     sigma = polar.ebn0_to_sigma(ebn0_db, code.rate)
-    edges = np.linspace(lo, hi, bins + 1)
+    edges = np.linspace(PDF_LO, PDF_HI, bins + 1)
     counts_received = np.zeros(bins, dtype=np.int64)
     counts_denoised = np.zeros(bins, dtype=np.int64)
     for _, y, s_hat in _denoised_chunks(model, code, sigma, frames, rng):
-        counts_received += np.histogram(np.clip(y, lo, hi), bins=edges)[0]
-        counts_denoised += np.histogram(np.clip(s_hat, lo, hi), bins=edges)[0]
-    width = (hi - lo) / bins
+        counts_received += np.histogram(np.clip(y, PDF_LO, PDF_HI), bins=edges)[0]
+        counts_denoised += np.histogram(np.clip(s_hat, PDF_LO, PDF_HI), bins=edges)[0]
+    width = (PDF_HI - PDF_LO) / bins
     total = frames * code.N
     rows = []
     for b in range(bins):
@@ -330,8 +321,9 @@ def pdf_hist(model, code, ebn0_db, frames, rng=None, bins=80, lo=-4.0, hi=4.0):
     return rows
 
 
-def timing_bench(code, decoders, frames, ebn0_db=0.0, batch=1024, rng=None):
-    """Wall-clock decode timing over a shared set of random frames.
+def timing_bench(code, decoders, frames, batch, rng):
+    """Wall-clock decode timing over a shared set of random frames, drawn
+    at 0 dB from ``rng``, the caller's tagged evaluation stream.
 
     The SC baseline is timed frame by frame (its natural sequential form);
     neural decoders are timed over batched forwards of size ``batch``.
@@ -343,9 +335,7 @@ def timing_bench(code, decoders, frames, ebn0_db=0.0, batch=1024, rng=None):
         raise ValueError("frames must be >= 1")
     if batch < 1:
         raise ValueError("batch must be >= 1")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    sigma = polar.ebn0_to_sigma(ebn0_db, code.rate)
+    sigma = polar.ebn0_to_sigma(0.0, code.rate)
     _, _, y = _frames(code, frames, sigma, rng)
     rows = []
     for decoder in decoders:

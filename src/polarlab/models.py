@@ -287,13 +287,11 @@ class Model:
         return tuple(None if part[0] is None else _join(part)
                      for part in zip(*tiles))
 
-    def denoise(self, y, keep=False):
-        """``s_hat`` alone, tiled as ``forward`` is unless ``keep``."""
+    def denoise(self, y):
+        """``s_hat`` alone, tiled as ``forward`` is."""
         if self.denoiser is None:
             raise ValueError(f"{self.spec.arch_name} has no denoiser stage")
         y = self._check_input(y)
-        if keep:
-            return self._denoise(y, keep)
         return _join([self._denoise(y[rows]) for rows in self._tiles(len(y))])
 
     def _tiles(self, batch):

@@ -477,7 +477,7 @@ def mse_loss(pred, target, normalizer):
 class Adam:
     """Adam with bias correction; update is ``lr * m_hat / (sqrt(v_hat) + eps)``."""
 
-    def __init__(self, params, lr=0.001, beta1=0.99, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr, beta1, beta2, eps):
         self._params = list(params)
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.t = 0
@@ -494,6 +494,3 @@ class Adam:
             v *= self.beta2
             v += (1.0 - self.beta2) * p.grad * p.grad
             p.value -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
-
-    def zero_grad(self):
-        zero_grads(self._params)

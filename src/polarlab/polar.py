@@ -35,10 +35,6 @@ class PolarCode:
     frozen_set: tuple
 
     @property
-    def n(self):
-        return self.N.bit_length() - 1
-
-    @property
     def rate(self):
         return self.K / self.N
 

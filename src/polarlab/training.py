@@ -95,10 +95,10 @@ def _batch_slices(count, batch_size):
             for lo in range(0, count, batch_size)]
 
 
-def train(model, dataset, config, rng=None, epoch_callback=None):
+def train(model, dataset, config, epoch_callback=None):
     """Train ``model`` in place; returns the loss trace.
 
-    ``rng`` defaults to a stream derived from ``config.seed`` that is
+    Training noise comes from the stream tagged ``[config.seed, 1]``,
     independent of the build-time init stream. ``epoch_callback(model,
     epoch)`` fires every ``checkpoint_every`` epochs when set.
 
@@ -107,8 +107,7 @@ def train(model, dataset, config, rng=None, epoch_callback=None):
     TrainingDiverged
         If any logged loss stops being finite.
     """
-    if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
     sigma = polar.ebn0_to_sigma(config.train_ebn0_db, dataset.code.rate)
     optimizer = Adam(model.params(), lr=config.lr, beta1=config.beta1,
                      beta2=config.beta2, eps=config.eps)

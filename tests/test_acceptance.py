@@ -249,7 +249,7 @@ def test_criterion_08_density_concentration(code16, trained_mlp_rnnd):
             (f"no concentration at {ebn0_db} dB: denoised {var_denoised:.4f} "
              f">= received {var_received:.4f}")
         rows = ev.pdf_hist(trained_mlp_rnnd, code16, ebn0_db, frames=4096,
-                           rng=np.random.default_rng(56))
+                           rng=np.random.default_rng(56), bins=80)
         width = (rows[0].bin_right - rows[0].bin_left)
         for field in ("density_received", "density_denoised"):
             integral = sum(getattr(r, field) for r in rows) * width

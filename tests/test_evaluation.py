@@ -10,11 +10,14 @@ from hypothesis import given, settings, strategies as st
 
 from polarlab import evaluation as ev
 from polarlab import polar
+from polarlab.cli import EvalSettings
 from polarlab.models import ModelSpec, build
 from polarlab.nn import zero_grads
 from polarlab.training import TraceRow
 
 CODE = polar.construct_code(16, 8)
+# the CLI's default stop rule
+STOP = ev.StopRule(min_bit_errors=100, max_frames=1_000_000)
 
 
 def tiny_model(variant="rnnd", seed=0):
@@ -32,16 +35,16 @@ def zeroed_denoiser(model):
 # ------------------------------------------------------------------ stop rule
 
 def test_stop_rule_defaults():
-    stop = ev.StopRule()
-    assert stop.min_bit_errors == 100
-    assert stop.max_frames == 1_000_000
+    settings = EvalSettings()
+    assert settings.min_bit_errors == 100
+    assert settings.max_frames == 1_000_000
 
 
 def test_stop_rule_validation():
     with pytest.raises(ValueError):
-        ev.StopRule(min_bit_errors=-1)
+        ev.StopRule(min_bit_errors=-1, max_frames=1)
     with pytest.raises(ValueError):
-        ev.StopRule(max_frames=0)
+        ev.StopRule(min_bit_errors=0, max_frames=0)
 
 
 # ------------------------------------------------------------------ decoders
@@ -64,15 +67,11 @@ def test_model_decoder_name_and_shape():
     assert set(np.unique(out)) <= {0, 1}
 
 
-def test_model_decoder_custom_name():
-    assert ev.ModelDecoder(tiny_model(), name="alpha").name == "alpha"
-
-
 # ------------------------------------------------------------------ ber_eval
 
 def test_ber_sc_high_snr_zero_errors():
     rows = ev.ber_eval(ev.ScDecoder(CODE), CODE, [12.0],
-                       stop=ev.StopRule(max_frames=500),
+                       stop=ev.StopRule(min_bit_errors=100, max_frames=500),
                        rng=np.random.default_rng(1))
     (row,) = rows
     assert row.decoder == "sc"
@@ -161,7 +160,8 @@ def test_ber_pool_capped_at_usable_cpus(monkeypatch):
 
     def pool_size(workers):
         with pytest.raises(RuntimeError, match="no pool started"):
-            ev.ber_eval(ev.ScDecoder(CODE), CODE, [1.0], workers=workers)
+            ev.ber_eval(ev.ScDecoder(CODE), CODE, [1.0], STOP,
+                        rng=np.random.default_rng(0), workers=workers)
         return sizes[-1]
 
     monkeypatch.setattr(ev, "ProcessPoolExecutor", NoPool)
@@ -222,7 +222,8 @@ def test_ber_pool_parent_blas_threads_restored_on_error(two_blas_threads,
 
     monkeypatch.setattr(ev, "ProcessPoolExecutor", NoPool)
     with pytest.raises(RuntimeError, match="no pool started"):
-        ev.ber_eval(ev.ScDecoder(CODE), CODE, [1.0], workers=2)
+        ev.ber_eval(ev.ScDecoder(CODE), CODE, [1.0], STOP,
+                    rng=np.random.default_rng(0), workers=2)
     # one thread while the pool would fork, the old count after
     assert seen == [1]
     assert blas_threads() == 2
@@ -258,7 +259,8 @@ def test_decoding_keeps_no_training_state(arch):
 
 def test_ber_workers_validation():
     with pytest.raises(ValueError, match="workers"):
-        ev.ber_eval(ev.ScDecoder(CODE), CODE, [1.0], workers=0)
+        ev.ber_eval(ev.ScDecoder(CODE), CODE, [1.0], STOP,
+                    rng=np.random.default_rng(0), workers=0)
 
 
 def test_ber_max_frames_not_exceeded():
@@ -300,19 +302,21 @@ def test_snr_deterministic():
 
 def test_snr_rejects_decode_only_model():
     with pytest.raises(ValueError, match="denoiser"):
-        ev.snr_gain(tiny_model(variant="nnd"), CODE, [1.0], frames=10)
+        ev.snr_gain(tiny_model(variant="nnd"), CODE, [1.0], frames=10,
+                    rng=np.random.default_rng(0))
 
 
 def test_snr_rejects_bad_frames():
     with pytest.raises(ValueError, match="frames"):
-        ev.snr_gain(tiny_model(), CODE, [1.0], frames=0)
+        ev.snr_gain(tiny_model(), CODE, [1.0], frames=0,
+                    rng=np.random.default_rng(0))
 
 
 # ------------------------------------------------------------------ pdf_hist
 
 def test_pdf_shape_and_edges():
     rows = ev.pdf_hist(tiny_model(), CODE, 0.0, frames=256,
-                       rng=np.random.default_rng(0))
+                       rng=np.random.default_rng(0), bins=80)
     assert len(rows) == 80
     assert rows[0].bin_left == -4.0
     assert rows[-1].bin_right == 4.0
@@ -322,7 +326,7 @@ def test_pdf_shape_and_edges():
 
 def test_pdf_densities_integrate_to_one():
     rows = ev.pdf_hist(tiny_model(), CODE, 0.0, frames=2048,
-                       rng=np.random.default_rng(1))
+                       rng=np.random.default_rng(1), bins=80)
     width = (4.0 - (-4.0)) / 80
     for field in ("density_received", "density_denoised"):
         integral = sum(getattr(r, field) for r in rows) * width
@@ -348,7 +352,7 @@ def test_pdf_received_moments_match_theory():
     ebn0_db = 2.0
     sigma = polar.ebn0_to_sigma(ebn0_db, CODE.rate)
     rows = ev.pdf_hist(tiny_model(), CODE, ebn0_db, frames=20_000,
-                       rng=np.random.default_rng(8))
+                       rng=np.random.default_rng(8), bins=80)
     width = 0.1
     centers = [(r.bin_left + r.bin_right) / 2 for r in rows]
     mean = sum(c * r.density_received for c, r in zip(centers, rows)) * width
@@ -362,7 +366,7 @@ def test_pdf_received_mass_concentrates_at_modes():
     # low noise (sigma ~ 0.32 at 10 dB): received samples pile up within
     # +-0.75 of the two BPSK levels
     rows = ev.pdf_hist(tiny_model(), CODE, 10.0, frames=2048,
-                       rng=np.random.default_rng(3))
+                       rng=np.random.default_rng(3), bins=80)
     width = 0.1
     near_modes = sum(r.density_received * width for r in rows
                      if abs(abs(r.bin_left + width / 2) - 1.0) < 0.75)
@@ -371,21 +375,21 @@ def test_pdf_received_mass_concentrates_at_modes():
 
 def test_pdf_validation():
     model = tiny_model()
+    rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="denoiser"):
-        ev.pdf_hist(tiny_model(variant="nnd"), CODE, 0.0, frames=10)
+        ev.pdf_hist(tiny_model(variant="nnd"), CODE, 0.0, frames=10, rng=rng,
+                    bins=80)
     with pytest.raises(ValueError, match="bins"):
-        ev.pdf_hist(model, CODE, 0.0, frames=10, bins=0)
+        ev.pdf_hist(model, CODE, 0.0, frames=10, rng=rng, bins=0)
     with pytest.raises(ValueError, match="frames"):
-        ev.pdf_hist(model, CODE, 0.0, frames=0)
-    with pytest.raises(ValueError, match="lo < hi"):
-        ev.pdf_hist(model, CODE, 0.0, frames=10, lo=2.0, hi=-2.0)
+        ev.pdf_hist(model, CODE, 0.0, frames=0, rng=rng, bins=80)
 
 
 def test_pdf_deterministic():
     a = ev.pdf_hist(tiny_model(), CODE, 1.0, frames=300,
-                    rng=np.random.default_rng(9))
+                    rng=np.random.default_rng(9), bins=80)
     b = ev.pdf_hist(tiny_model(), CODE, 1.0, frames=300,
-                    rng=np.random.default_rng(9))
+                    rng=np.random.default_rng(9), bins=80)
     assert a == b
 
 
@@ -406,9 +410,11 @@ def test_timing_rows():
 
 def test_timing_validation():
     with pytest.raises(ValueError, match="frames"):
-        ev.timing_bench(CODE, [ev.ScDecoder(CODE)], frames=0)
+        ev.timing_bench(CODE, [ev.ScDecoder(CODE)], frames=0, batch=1024,
+                        rng=np.random.default_rng(0))
     with pytest.raises(ValueError, match="batch"):
-        ev.timing_bench(CODE, [ev.ScDecoder(CODE)], frames=4, batch=0)
+        ev.timing_bench(CODE, [ev.ScDecoder(CODE)], frames=4, batch=0,
+                        rng=np.random.default_rng(0))
 
 
 def test_timing_repeatable_within_2x():
@@ -416,7 +422,7 @@ def test_timing_repeatable_within_2x():
     decoders = [ev.ScDecoder(CODE)]
     times = []
     for _ in range(2):
-        (row,) = ev.timing_bench(CODE, decoders, frames=512,
+        (row,) = ev.timing_bench(CODE, decoders, frames=512, batch=1024,
                                  rng=np.random.default_rng(0))
         times.append(row.total_time_s)
     ratio = max(times) / min(times)
@@ -435,9 +441,9 @@ def test_timing_batched_amortizes_neural_decode():
 
 def test_timing_sc_roughly_linear_in_frames():
     decoders = [ev.ScDecoder(CODE)]
-    (small,) = ev.timing_bench(CODE, decoders, frames=128,
+    (small,) = ev.timing_bench(CODE, decoders, frames=128, batch=1024,
                                rng=np.random.default_rng(2))
-    (large,) = ev.timing_bench(CODE, decoders, frames=512,
+    (large,) = ev.timing_bench(CODE, decoders, frames=512, batch=1024,
                                rng=np.random.default_rng(2))
     # ideal ratio is 4; generous bounds absorb scheduler noise
     ratio = large.total_time_s / small.total_time_s
@@ -467,7 +473,7 @@ def test_snr_csv_round_trip(tmp_path):
 
 def test_pdf_csv_round_trip(tmp_path):
     rows = ev.pdf_hist(tiny_model(), CODE, 0.0, frames=64,
-                       rng=np.random.default_rng(5))
+                       rng=np.random.default_rng(5), bins=80)
     path = tmp_path / "pdf.csv"
     ev.write_rows(path, ev.HistRow, rows)
     assert ev.read_rows(path, ev.HistRow) == rows

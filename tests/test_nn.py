@@ -552,7 +552,7 @@ def test_adam_first_step_hand_case():
 
 def test_adam_zero_gradient_is_noop():
     p = Param.zeros_like("theta", np.array([0.5]))
-    opt = Adam([p])
+    opt = Adam([p], lr=0.001, beta1=0.99, beta2=0.999, eps=1e-8)
     opt.step()
     assert p.value[0] == 0.5
 
@@ -560,7 +560,7 @@ def test_adam_zero_gradient_is_noop():
 def test_adam_step_magnitude_bounded():
     rng = np.random.default_rng(4)
     p = Param.zeros_like("theta", np.zeros(16))
-    opt = Adam([p], lr=0.001)
+    opt = Adam([p], lr=0.001, beta1=0.99, beta2=0.999, eps=1e-8)
     prev = p.value.copy()
     for t in range(300):
         p.grad[:] = rng.standard_normal(16) * 10.0 ** rng.integers(-2, 3)
@@ -574,12 +574,12 @@ def test_adam_deterministic_trajectories():
     def run():
         rng = np.random.default_rng(7)
         layer = Affine(4, 2, np.random.default_rng(0))
-        opt = Adam(layer.params())
+        opt = Adam(layer.params(), lr=0.001, beta1=0.99, beta2=0.999, eps=1e-8)
         for _ in range(20):
             x = rng.standard_normal((8, 4))
             t = rng.standard_normal((8, 2))
             loss, dpred = mse_loss(layer.forward(x, keep=True), t, 2)
-            opt.zero_grad()
+            zero_grads(layer.params())
             layer.backward(dpred)
             opt.step()
         return layer.w.value.copy()
