@@ -45,6 +45,11 @@ EVAL_STREAM = 2
 # rnnd has 8 N^2 weights). Checked before anything of size N is allocated.
 MAX_N = 1 << 10
 
+# The most pdf bins, and the most symbols (bench_frames x N) bench draws:
+# both are allocated whole, so a huge count would fail mid-run.
+MAX_BINS = 1 << 16
+MAX_BENCH_SYMBOLS = 1 << 26
+
 
 class UsageError(Exception):
     """Bad invocation or configuration; maps to exit code 2."""
@@ -73,6 +78,8 @@ class EvalSettings:
                            ("bins", 10)):
             if getattr(self, key) < least:
                 raise ValueError(f"{key} must be >= {least}, got {getattr(self, key)}")
+        if self.bins > MAX_BINS:
+            raise ValueError(f"bins must be at most {MAX_BINS}, got {self.bins}")
 
 
 @dataclass(frozen=True)
@@ -89,6 +96,10 @@ class Settings:
         if self.seed < 0:
             raise UsageError(f"seed must be non-negative, got {self.seed}")
         _check_length(self.N)
+        if self.eval.bench_frames * self.N > MAX_BENCH_SYMBOLS:
+            raise UsageError(f"eval.bench_frames * N must be at most "
+                             f"{MAX_BENCH_SYMBOLS}, got {self.eval.bench_frames} * "
+                             f"{self.N}")
 
 
 _CODE_KEYS = ("N", "K")
@@ -259,8 +270,12 @@ def cmd_train(args):
     dataset = _codebook(code)
     model = build(spec, seed=settings.seed)
     config = replace(settings.train, seed=settings.seed)
-    ckpt_path, trace_path = _prepare_out(
-        settings, ["checkpoint.json", "trace.csv"], args.force)
+    every = config.checkpoint_every
+    # the periodic snapshots are outputs too: claim them all up front
+    snapshots = [f"checkpoint_epoch_{epoch}.json"
+                 for epoch in range(every, config.epochs + 1, every)] if every else []
+    ckpt_path, trace_path, *_ = _prepare_out(
+        settings, ["checkpoint.json", "trace.csv", *snapshots], args.force)
     log.info("training %s for %d epochs (seed %d)",
              spec.arch_name, config.epochs, settings.seed)
 

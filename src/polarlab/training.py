@@ -48,6 +48,8 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.lr <= 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
+        if self.eps <= 0:
+            raise ValueError(f"eps must be positive, got {self.eps}")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValueError("betas must lie in [0, 1)")
         if self.log_every < 1:

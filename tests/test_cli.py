@@ -90,10 +90,33 @@ def test_train_periodic_snapshots(tmp_path):
     cfg = write_config(tmp_path, train={"batch_size": 8, "epochs": 4,
                                         "checkpoint_every": 2})
     out = tmp_path / "run"
+    out.mkdir()
+    # epoch 3 is no snapshot of this run, epoch 6 is past its last epoch:
+    # neither is claimed, so neither blocks the run
+    for epoch in (3, 6):
+        (out / f"checkpoint_epoch_{epoch}.json").write_text("keep me")
     assert run("train", "--config", cfg, "--out", str(out)) == 0
     assert (out / "checkpoint_epoch_2.json").exists()
     assert (out / "checkpoint_epoch_4.json").exists()
     assert (out / "checkpoint.json").exists()
+    assert (out / "checkpoint_epoch_3.json").read_text() == "keep me"
+    assert (out / "checkpoint_epoch_6.json").read_text() == "keep me"
+
+
+def test_train_refuses_to_overwrite_a_snapshot(tmp_path, capsys):
+    # a killed run leaves snapshots but no checkpoint.json
+    cfg = write_config(tmp_path, train={"batch_size": 8, "epochs": 4,
+                                        "checkpoint_every": 2})
+    out = tmp_path / "run"
+    out.mkdir()
+    planted = out / "checkpoint_epoch_2.json"
+    planted.write_text("keep me")
+    assert run("train", "--config", cfg, "--out", str(out)) == 2
+    assert "checkpoint_epoch_2.json" in capsys.readouterr().err
+    assert planted.read_text() == "keep me"
+    assert sorted(p.name for p in out.iterdir()) == ["checkpoint_epoch_2.json"]
+    assert run("train", "--config", cfg, "--out", str(out), "--force") == 0
+    assert planted.read_text() != "keep me"
 
 
 def test_train_full_arch_name_must_match_code(tmp_path):
@@ -322,6 +345,13 @@ _BAD_INPUT = {
                    r"\bbatch must be"),
     "eval.bench_frames": ("bench", {"eval": {**EVAL, "bench_frames": 0}}, [],
                           "rnnd", r"\bbench_frames must be"),
+    # counts whose arrays are allocated whole, so they would fail mid-run
+    "eval.bins-10^12": ("pdf", {"eval": {**EVAL, "bins": 10 ** 12}}, [],
+                        "rnnd", r"\bbins must be at most 65536"),
+    "eval.bench_frames-10^12": ("bench",
+                                {"eval": {**EVAL, "bench_frames": 10 ** 12}},
+                                [], "rnnd",
+                                r"\bbench_frames \* N must be at most 67108864"),
     "eval.min_bit_errors": ("ber", {"eval": {**EVAL, "min_bit_errors": -1}},
                             [], "rnnd", r"\bmin_bit_errors must be"),
     "eval.max_frames": ("ber", {"eval": {**EVAL, "max_frames": 0}}, [], "rnnd",
@@ -353,6 +383,11 @@ _BAD_INPUT = {
     "train.train_ebn0_db": ("train", {"train": {"epochs": 1,
                                                 "train_ebn0_db": -1e308}},
                             [], None, r"train\.train_ebn0_db: .*no positive"),
+    # 0 divides 0 by 0 in the first Adam step, a negative eps trains on
+    "train.eps-0": ("train", {"train": {"epochs": 1, "eps": 0.0}}, [], None,
+                    r"\beps must be positive"),
+    "train.eps--1": ("train", {"train": {"epochs": 1, "eps": -1.0}}, [], None,
+                     r"\beps must be positive"),
 }
 
 
