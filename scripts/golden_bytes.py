@@ -34,7 +34,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from polarlab import cli  # noqa: E402
 
-ARCHS = ("rnn-nnd", "rnn-rnnd", "mlp-rnnd", "cnn-rnnd", "cnn-nnd")
+ARCHS = ("rnn-nnd", "rnn-rnnd", "mlp-nnd", "mlp-rnnd", "cnn-rnnd", "cnn-nnd")
 DENOISERS = ("rnn-rnnd", "mlp-rnnd")
 BER_FRAMES = 6000
 CONFIG = {

@@ -50,6 +50,11 @@ MAX_N = 1 << 10
 MAX_BINS = 1 << 16
 MAX_BENCH_SYMBOLS = 1 << 26
 
+# The most checkpoint_epoch_N.json snapshots one train run may write: every
+# name is claimed before training starts. The default 2^16 epochs at
+# checkpoint_every 1 stay accepted.
+MAX_SNAPSHOTS = 1 << 16
+
 
 class UsageError(Exception):
     """Bad invocation or configuration; maps to exit code 2."""
@@ -100,6 +105,11 @@ class Settings:
             raise UsageError(f"eval.bench_frames * N must be at most "
                              f"{MAX_BENCH_SYMBOLS}, got {self.eval.bench_frames} * "
                              f"{self.N}")
+        every = self.train.checkpoint_every
+        if every and self.train.epochs // every > MAX_SNAPSHOTS:
+            raise UsageError(f"train.epochs // train.checkpoint_every must be at "
+                             f"most {MAX_SNAPSHOTS}, got {self.train.epochs} // "
+                             f"{every}")
 
 
 _CODE_KEYS = ("N", "K")
@@ -284,8 +294,7 @@ def cmd_train(args):
         save_checkpoint(snap_model, path, seed=settings.seed, epoch=epoch)
         log.info("wrote %s", path)
 
-    callback = snapshot if config.checkpoint_every else None
-    trace = train(model, dataset, config, epoch_callback=callback)
+    trace = train(model, dataset, config, epoch_callback=snapshot)
     save_checkpoint(model, ckpt_path, seed=settings.seed, epoch=config.epochs)
     ev.write_rows(trace_path, TraceRow, trace.rows)
     if trace.rows:

@@ -339,20 +339,16 @@ def timing_bench(code, decoders, frames, batch, rng):
     _, _, y = _frames(code, frames, sigma, rng)
     rows = []
     for decoder in decoders:
-        sequential = isinstance(decoder, ScDecoder)
+        step = 1 if isinstance(decoder, ScDecoder) else batch
         # warm-up outside the timed region
         decoder.decode(y[:min(8, frames)], sigma)
         start = time.perf_counter()
-        if sequential:
-            for i in range(frames):
-                decoder.decode(y[i:i + 1], sigma)
-        else:
-            for lo_idx in range(0, frames, batch):
-                decoder.decode(y[lo_idx:lo_idx + batch], sigma)
+        for lo in range(0, frames, step):
+            decoder.decode(y[lo:lo + step], sigma)
         elapsed = time.perf_counter() - start
         rows.append(TimingRow(decoder=decoder.name, frames=frames,
                               total_time_s=elapsed, per_frame_s=elapsed / frames,
-                              batch=1 if sequential else batch))
+                              batch=step))
     return rows
 
 

@@ -131,52 +131,36 @@ class LossValues:
     decode: float
 
 
-def _head(dims_in, dims_out, rng, sigmoid):
-    """The closing Affine, squashed into (0, 1) on a decoding stack."""
-    return [Affine(dims_in, dims_out, rng)] + ([Sigmoid()] if sigmoid else [])
+def _mlp_layers(n, hidden):
+    """Affine and ReLU per hidden width; returns the layers and the width out."""
+    dims = (n, *hidden)
+    pairs = zip(dims, dims[1:])
+    return [layer for a, b in pairs for layer in ((Affine, a, b), (ReLU,))], dims[-1]
 
 
-def _mlp_stack(n, hidden, dims_out, rng, sigmoid):
-    layers = []
-    prev = n
-    for width in hidden:
-        layers += [Affine(prev, width, rng), ReLU()]
-        prev = width
-    return Sequential(layers + _head(prev, dims_out, rng, sigmoid))
+def _cnn_layers(n, trunks):
+    """One conv trunk per channel triple, in series; a trunk pools after its
+    first two convs (length -> length/4)."""
+    layers, c_in = [(AsChannels,)], 1
+    for c1, c2, c3 in trunks:
+        layers += [(Conv1D, c_in, c1), (ReLU,), (MaxPool1D,),
+                   (Conv1D, c1, c2), (ReLU,), (MaxPool1D,),
+                   (Conv1D, c2, c3), (ReLU,)]
+        c_in = c3
+    return layers + [(Flatten,)], c_in * (n // 4 ** len(trunks))
 
 
-def _cnn_trunk(c_in, channels, rng):
-    """Three conv blocks with pooling after the first two (length -> length/4)."""
-    c1, c2, c3 = channels
-    return [Conv1D(c_in, c1, rng), ReLU(), MaxPool1D(),
-            Conv1D(c1, c2, rng), ReLU(), MaxPool1D(),
-            Conv1D(c2, c3, rng), ReLU()]
-
-
-def _cnn_stack(n, trunks, dims_out, rng, sigmoid):
-    """One conv trunk per channel triple in ``trunks``, in series."""
-    shrink = 4 ** len(trunks)
-    layers = [AsChannels()]
-    c_in = 1
-    for channels in trunks:
-        layers += _cnn_trunk(c_in, channels, rng)
-        c_in = channels[-1]
-    return Sequential(layers + [Flatten()]
-                      + _head(c_in * (n // shrink), dims_out, rng, sigmoid))
-
-
-def _rnn_stack(n, hidden, dims_out, rng, sigmoid):
+def _rnn_layers(n, hidden):
     """LSTMs in series, reading one symbol per step, so ``n`` sizes nothing."""
-    layers = [AsSequence()]
-    prev = 1
-    for width in hidden:
-        layers.append(LSTM(prev, width, rng))
-        prev = width
-    return Sequential(layers + [TakeLast()] + _head(prev, dims_out, rng, sigmoid))
+    dims = (1, *hidden)
+    return ([(AsSequence,), *((LSTM, a, b) for a, b in zip(dims, dims[1:])),
+             (TakeLast,)], dims[-1])
 
 
-def _stack_plans(spec):
-    """``(n, widths, dims_out, sigmoid)`` of each stack, denoiser first.
+def _stack_layers(spec):
+    """The layer plan of each stack, denoiser first: one ``(layer class,
+    *dims)`` per layer, with no dims for a layer without parameters. Each
+    stack closes with an Affine, squashed into (0, 1) on the decoding stack.
 
     An NND runs the RNND's denoiser and decoder trunks in series as one
     stack, without the shortcut and without the N-wide bottleneck.
@@ -186,43 +170,29 @@ def _stack_plans(spec):
         "cnn": ((spec.cnn_denoiser_channels,), (spec.cnn_decoder_channels,)),
         "rnn": ((spec.rnn_denoiser_hidden,), (spec.rnn_decoder_hidden,)),
     }[spec.family]
-    if spec.variant == "rnnd":
-        return [(spec.N, den, spec.N, False), (spec.N, dec, spec.K, True)]
-    return [(spec.N, den + dec, spec.K, True)]
+    trunk = {"mlp": _mlp_layers, "cnn": _cnn_layers, "rnn": _rnn_layers}[spec.family]
+    stacks = ([(den, spec.N, []), (dec, spec.K, [(Sigmoid,)])] if spec.variant == "rnnd"
+              else [(den + dec, spec.K, [(Sigmoid,)])])
+    plans = []
+    for widths, dims_out, squash in stacks:
+        layers, width = trunk(spec.N, widths)
+        plans.append(layers + [(Affine, width, dims_out)] + squash)
+    return plans
 
 
-def _build_stacks(spec, rng):
-    """Returns (denoiser, decoder); denoiser is None for NND variants."""
-    stack = {"mlp": _mlp_stack, "cnn": _cnn_stack, "rnn": _rnn_stack}[spec.family]
-    *denoiser, decoder = [stack(n, widths, dims_out, rng, sigmoid)
-                          for n, widths, dims_out, sigmoid in _stack_plans(spec)]
-    return (denoiser[0] if denoiser else None), decoder
-
-
-def _mlp_count(n, hidden, dims_out):
-    dims = (n, *hidden, dims_out)
-    return sum(a * b + b for a, b in zip(dims, dims[1:]))
-
-
-def _cnn_count(n, trunks, dims_out):
-    channels = (1, *(c for trunk in trunks for c in trunk))
-    convs = sum(a * b * Conv1D.KERNEL + b for a, b in zip(channels, channels[1:]))
-    flat = channels[-1] * (n // 4 ** len(trunks))
-    return convs + flat * dims_out + dims_out
-
-
-def _rnn_count(n, hidden, dims_out):
-    dims = (1, *hidden)
-    cells = sum(len(LSTM.GATES) * (a * b + b * b + b) for a, b in zip(dims, dims[1:]))
-    return cells + dims[-1] * dims_out + dims_out
+# parameter count of each layer class with parameters, from its plan dims
+_PARAMS = {
+    Affine: lambda n_in, n_out: (n_in + 1) * n_out,
+    Conv1D: lambda c_in, c_out: (c_in * Conv1D.KERNEL + 1) * c_out,
+    LSTM: lambda n_in, h: len(LSTM.GATES) * (n_in + h + 1) * h,
+}
 
 
 def spec_param_count(spec):
     """``param_count(build(spec, seed))`` from the spec alone, without
     allocating a tensor: what a checkpoint must hold before it is built."""
-    count = {"mlp": _mlp_count, "cnn": _cnn_count, "rnn": _rnn_count}[spec.family]
-    return sum(count(n, widths, dims_out)
-               for n, widths, dims_out, _ in _stack_plans(spec))
+    return sum(_PARAMS[cls](*dims) for plan in _stack_layers(spec)
+               for cls, *dims in plan if dims)
 
 
 # Frames per tile of an inference forward. A 2048-frame block's temporaries
@@ -243,10 +213,6 @@ def tile_slices(batch, tile):
     bounds = list(accumulate([size + 1] * extra + [size] * (count - extra),
                              initial=0))
     return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-
-
-def _join(parts):
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 class Model:
@@ -277,35 +243,30 @@ class Model:
         """Returns ``(s_hat, u_soft)``; ``s_hat`` is None for NND variants.
 
         Only with ``keep`` do the layers keep what a backward needs; by
-        default the model holds no activations afterwards, and the batch
-        runs through the whole chain one tile of frames at a time.
+        default the model holds no activations afterwards, and each stack
+        runs over the batch one tile of frames at a time.
         """
         y = self._check_input(y)
-        if keep:
-            return self._forward(y, keep)
-        tiles = [self._forward(y[rows]) for rows in self._tiles(len(y))]
-        return tuple(None if part[0] is None else _join(part)
-                     for part in zip(*tiles))
+        s_hat = None if self.denoiser is None else self._denoise(y, keep)
+        return s_hat, self._run(self.decoder, y if s_hat is None else s_hat, keep)
 
     def denoise(self, y):
         """``s_hat`` alone, tiled as ``forward`` is."""
         if self.denoiser is None:
             raise ValueError(f"{self.spec.arch_name} has no denoiser stage")
-        y = self._check_input(y)
-        return _join([self._denoise(y[rows]) for rows in self._tiles(len(y))])
+        return self._denoise(self._check_input(y), keep=False)
 
-    def _tiles(self, batch):
+    def _denoise(self, y, keep):
+        return y + self._run(self.denoiser, y, keep)
+
+    def _run(self, stack, x, keep):
+        """``stack.forward(x)``, whole when ``keep`` is set or the family is
+        untiled, else over ``tile_slices`` of the rows, joined."""
         tile = INFERENCE_TILE[self.spec.family]
-        return [slice(0, batch)] if tile is None else tile_slices(batch, tile)
-
-    def _forward(self, y, keep=False):
-        if self.denoiser is None:
-            return None, self.decoder.forward(y, keep)
-        s_hat = self._denoise(y, keep)
-        return s_hat, self.decoder.forward(s_hat, keep)
-
-    def _denoise(self, y, keep=False):
-        return y + self.denoiser.forward(y, keep)
+        if keep or tile is None:
+            return stack.forward(x, keep)
+        return np.concatenate([stack.forward(x[rows])
+                               for rows in tile_slices(len(x), tile)])
 
     def loss(self, y, s_true, u_true, compute_grads=False):
         """Multi-task loss for RNND, decoding loss for NND.
@@ -338,8 +299,10 @@ def build(spec, seed):
     stack first, then decoder, in layer order).
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
-    denoiser, decoder = _build_stacks(spec, rng)
-    return Model(spec, denoiser, decoder)
+    *denoiser, decoder = [
+        Sequential([cls(*dims, rng) if dims else cls() for cls, *dims in plan])
+        for plan in _stack_layers(spec)]
+    return Model(spec, denoiser[0] if denoiser else None, decoder)
 
 
 def hard_decision(u_soft):

@@ -91,12 +91,6 @@ class TrainTrace:
     rows: list = field(default_factory=list)
 
 
-def _batch_slices(count, batch_size):
-    """Consecutive fixed-order slices; the tail slice may be short."""
-    return [(lo, min(lo + batch_size, count))
-            for lo in range(0, count, batch_size)]
-
-
 def train(model, dataset, config, epoch_callback=None):
     """Train ``model`` in place; returns the loss trace.
 
@@ -113,14 +107,14 @@ def train(model, dataset, config, epoch_callback=None):
     sigma = polar.ebn0_to_sigma(config.train_ebn0_db, dataset.code.rate)
     optimizer = Adam(model.params(), lr=config.lr, beta1=config.beta1,
                      beta2=config.beta2, eps=config.eps)
-    slices = _batch_slices(len(dataset.messages), config.batch_size)
     trace = TrainTrace()
     step = 0
     for epoch in range(1, config.epochs + 1):
-        for lo, hi in slices:
+        # consecutive fixed-order batches; the tail batch may be short
+        for lo in range(0, len(dataset.messages), config.batch_size):
             step += 1
-            s = dataset.symbols[lo:hi]
-            u = dataset.messages[lo:hi]
+            s = dataset.symbols[lo:lo + config.batch_size]
+            u = dataset.messages[lo:lo + config.batch_size]
             y = s + sigma * rng.standard_normal(s.shape)
             values = model.loss(y, s, u, compute_grads=True)
             if not np.isfinite(values.total):

@@ -388,6 +388,10 @@ _BAD_INPUT = {
                     r"\beps must be positive"),
     "train.eps--1": ("train", {"train": {"epochs": 1, "eps": -1.0}}, [], None,
                      r"\beps must be positive"),
+    # every snapshot name is claimed before training starts
+    "train.snapshots-2^40": ("train", {"train": {"epochs": 2 ** 40,
+                                                 "checkpoint_every": 1}},
+                             [], None, r"checkpoint_every must be at most 65536"),
 }
 
 
