@@ -165,7 +165,7 @@ def load_config(path):
             raw = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise UsageError(f"config {path} is not valid JSON: {exc}") from exc
     _check_keys(raw, _TOP_KEYS, "top level")
     kinds = {f.name: f.type for f in dataclasses.fields(Settings)}
@@ -186,14 +186,10 @@ def load_config(path):
 
 
 def _settings_from_args(args):
-    """``(settings, code)`` from the config file, overridden by the flags."""
-    settings = load_config(args.config) if args.config else Settings()
-    if args.out:
-        settings = replace(settings, out=args.out)
-    if args.seed is not None:
-        settings = replace(settings, seed=args.seed)
-    if getattr(args, "workers", 1) < 1:
-        raise UsageError(f"--workers must be >= 1, got {args.workers}")
+    """``(settings, code)`` from the config file, overridden by given flags."""
+    settings = load_config(args.config) if args.config is not None else Settings()
+    settings = replace(settings, **{key: getattr(args, key) for key in ("out", "seed")
+                                    if getattr(args, key) is not None})
     try:
         code = polar.construct_code(settings.N, settings.K)
     except ValueError as exc:
@@ -244,6 +240,14 @@ def _prepare_out(settings, filenames, force):
             if os.path.exists(path):
                 raise UsageError(f"refusing to overwrite {path} (use --force)")
     return paths
+
+
+def _report(settings, force, name, row_type, make_rows):
+    """Claim ``name``, then write ``make_rows()`` there as CSV and say so."""
+    (path,) = _prepare_out(settings, [name], force)
+    ev.write_rows(path, row_type, make_rows())
+    print(f"wrote {path}")
+    return 0
 
 
 def _load_model(path, code):
@@ -308,54 +312,46 @@ def cmd_train(args):
 
 def cmd_ber(args):
     settings, code = _settings_from_args(args)
+    if args.workers < 1:
+        raise UsageError(f"--workers must be >= 1, got {args.workers}")
     decoders = _decoders(args.checkpoints, code)
     stop = ev.StopRule(min_bit_errors=settings.eval.min_bit_errors,
                        max_frames=settings.eval.max_frames)
-    (out_path,) = _prepare_out(settings, ["ber.csv"], args.force)
-    rows = []
-    for decoder in decoders:
-        # a fresh generator per decoder pairs every decoder on the same frames
-        rows += ev.ber_eval(decoder, code, settings.eval.ebn0_db, stop=stop,
-                            rng=_eval_rng(settings.seed), workers=args.workers)
-        log.info("evaluated %s", decoder.name)
-    ev.write_rows(out_path, ev.BerRow, rows)
-    print(f"wrote {out_path}")
-    return 0
+
+    def sweep():
+        rows = []
+        for decoder in decoders:
+            # a fresh generator per decoder pairs every decoder on the same frames
+            rows += ev.ber_eval(decoder, code, settings.eval.ebn0_db, stop=stop,
+                                rng=_eval_rng(settings.seed), workers=args.workers)
+            log.info("evaluated %s", decoder.name)
+        return rows
+    return _report(settings, args.force, "ber.csv", ev.BerRow, sweep)
 
 
 def cmd_snr(args):
     settings, code = _settings_from_args(args)
     model = _load_denoiser(args.checkpoint, code)
-    (out_path,) = _prepare_out(settings, ["snr.csv"], args.force)
-    rows = ev.snr_gain(model, code, settings.eval.ebn0_db,
-                       settings.eval.frames, rng=_eval_rng(settings.seed))
-    ev.write_rows(out_path, ev.SnrRow, rows)
-    print(f"wrote {out_path}")
-    return 0
+    return _report(settings, args.force, "snr.csv", ev.SnrRow, lambda: ev.snr_gain(
+        model, code, settings.eval.ebn0_db, settings.eval.frames,
+        rng=_eval_rng(settings.seed)))
 
 
 def cmd_pdf(args):
     settings, code = _settings_from_args(args)
     model = _load_denoiser(args.checkpoint, code)
-    (out_path,) = _prepare_out(settings, ["pdf.csv"], args.force)
-    rows = ev.pdf_hist(model, code, settings.eval.pdf_ebn0_db,
-                       settings.eval.frames, rng=_eval_rng(settings.seed),
-                       bins=settings.eval.bins)
-    ev.write_rows(out_path, ev.HistRow, rows)
-    print(f"wrote {out_path}")
-    return 0
+    return _report(settings, args.force, "pdf.csv", ev.HistRow, lambda: ev.pdf_hist(
+        model, code, settings.eval.pdf_ebn0_db, settings.eval.frames,
+        rng=_eval_rng(settings.seed), bins=settings.eval.bins))
 
 
 def cmd_bench(args):
     settings, code = _settings_from_args(args)
     decoders = _decoders(args.checkpoints, code)
-    (out_path,) = _prepare_out(settings, ["timing.csv"], args.force)
-    rows = ev.timing_bench(code, decoders, settings.eval.bench_frames,
-                           batch=settings.eval.batch,
-                           rng=_eval_rng(settings.seed))
-    ev.write_rows(out_path, ev.TimingRow, rows)
-    print(f"wrote {out_path}")
-    return 0
+    return _report(settings, args.force, "timing.csv", ev.TimingRow,
+                   lambda: ev.timing_bench(code, decoders, settings.eval.bench_frames,
+                                           batch=settings.eval.batch,
+                                           rng=_eval_rng(settings.seed)))
 
 
 def cmd_params(args):
@@ -373,38 +369,35 @@ def build_parser():
         prog="polarlab",
         description="train and evaluate neural decoders for polar codes")
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--config", metavar="PATH", help="JSON config file")
+    shared.add_argument("--out", metavar="DIR", help="output directory")
+    shared.add_argument("--seed", type=int, help="master seed")
+    shared.add_argument("--force", action="store_true",
+                        help="overwrite existing output files")
 
-    def common(p, workers=False):
-        p.add_argument("--config", metavar="PATH", help="JSON config file")
-        p.add_argument("--out", metavar="DIR", help="output directory")
-        p.add_argument("--seed", type=int, help="master seed")
-        p.add_argument("--force", action="store_true",
-                       help="overwrite existing output files")
-        if workers:
-            p.add_argument("--workers", type=int, default=1,
-                           help="simulation worker processes")
-
-    p_train = sub.add_parser("train", help="train a decoder, write a checkpoint")
-    common(p_train)
+    p_train = sub.add_parser("train", parents=[shared],
+                             help="train a decoder, write a checkpoint")
     p_train.set_defaults(func=cmd_train)
 
-    p_ber = sub.add_parser("ber", help="bit error rate sweep (SC plus checkpoints)")
-    common(p_ber, workers=True)
+    p_ber = sub.add_parser("ber", parents=[shared],
+                           help="bit error rate sweep (SC plus checkpoints)")
+    p_ber.add_argument("--workers", type=int, default=1,
+                       help="simulation worker processes")
     p_ber.add_argument("checkpoints", nargs="*", metavar="CHECKPOINT")
     p_ber.set_defaults(func=cmd_ber)
 
-    p_snr = sub.add_parser("snr", help="denoiser SNR gain sweep")
-    common(p_snr)
+    p_snr = sub.add_parser("snr", parents=[shared], help="denoiser SNR gain sweep")
     p_snr.add_argument("checkpoint", metavar="CHECKPOINT")
     p_snr.set_defaults(func=cmd_snr)
 
-    p_pdf = sub.add_parser("pdf", help="received vs denoised signal histogram")
-    common(p_pdf)
+    p_pdf = sub.add_parser("pdf", parents=[shared],
+                           help="received vs denoised signal histogram")
     p_pdf.add_argument("checkpoint", metavar="CHECKPOINT")
     p_pdf.set_defaults(func=cmd_pdf)
 
-    p_bench = sub.add_parser("bench", help="decode timing (SC plus checkpoints)")
-    common(p_bench)
+    p_bench = sub.add_parser("bench", parents=[shared],
+                             help="decode timing (SC plus checkpoints)")
     p_bench.add_argument("checkpoints", nargs="*", metavar="CHECKPOINT")
     p_bench.set_defaults(func=cmd_bench)
 

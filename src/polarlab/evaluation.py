@@ -15,6 +15,8 @@ import csv
 import ctypes
 import dataclasses
 import functools
+import io
+import multiprocessing
 import os
 import time
 
@@ -164,8 +166,6 @@ _worker = None
 def _init_worker(decoder, code):
     global _worker
     _worker = (decoder, code)
-    # a no-op under fork; other start methods do not inherit the count
-    _swap_blas_threads(1)
 
 
 def _worker_block(sigma, frames, base, point_idx, block_idx):
@@ -182,14 +182,15 @@ def _usable_cpus():
 def _make_pool(decoder, code, processes):
     """A pool, for a ``with`` block, whose workers each hold ``decoder`` and
     ``code`` and run one BLAS thread, as they share the cores. All of it
-    reaches a worker at its start, by fork: the parent holds one BLAS
-    thread until the pool is shut down (a fork pool forks at its first
+    reaches a worker at its start, by fork on any platform: the parent holds
+    one BLAS thread until the pool is shut down (it forks at its first
     ``submit``), so no worker sets it and starts an OpenBLAS thread that
     busy-waits. The parent's count is restored, also on error."""
     before = _swap_blas_threads(1)
     try:
-        with ProcessPoolExecutor(max_workers=processes, initializer=_init_worker,
-                                 initargs=(decoder, code)) as pool:
+        with ProcessPoolExecutor(
+                max_workers=processes, mp_context=multiprocessing.get_context("fork"),
+                initializer=_init_worker, initargs=(decoder, code)) as pool:
             yield pool
     finally:
         if before is not None:
@@ -361,7 +362,7 @@ def _fmt(v):
 def write_rows(path, row_type, rows):
     """Write ``rows``, instances of the dataclass ``row_type``, as CSV."""
     names = [f.name for f in dataclasses.fields(row_type)]
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(names)
         for r in rows:
@@ -372,14 +373,17 @@ def read_rows(path, row_type):
     """Parse a file ``write_rows`` wrote back into a list of ``row_type``.
 
     Each value is parsed by its field's type annotation. An empty file, a
-    wrong header, a line of the wrong width or an unparsable value raises
-    ``ValueError`` naming the file and the line.
+    wrong header, a line of the wrong width, bytes that are not UTF-8, a
+    field the csv module refuses (one over its size limit) or an unparsable
+    value raises ``ValueError`` naming the file and the line.
     """
     fields = dataclasses.fields(row_type)
     names = [f.name for f in fields]
+    with open(path, "rb") as fh:
+        data = fh.read()
     rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    try:
+        reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
         header = next(reader, None)
         if header != names:
             got = "no header" if header is None else f"header {header}"
@@ -392,4 +396,9 @@ def read_rows(path, row_type):
                 rows.append(row_type(*(f.type(v) for f, v in zip(fields, line))))
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}, line {line}: not UTF-8: {exc.reason}") from None
+    except csv.Error as exc:
+        raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
     return rows

@@ -274,20 +274,15 @@ class Model:
         With ``compute_grads`` the parameter gradients of this batch are
         left in the layers (previous gradients are cleared first).
         """
-        u_true = np.asarray(u_true, dtype=np.float64)
         s_hat, u_soft = self.forward(y, keep=compute_grads)
         decode, d_u = mse_loss(u_soft, u_true, self.spec.K)
-        if self.denoiser is None:
-            if compute_grads:
-                zero_grads(self.params())
-                self.decoder.backward(d_u)
-            return LossValues(total=decode, denoise=0.0, decode=decode)
-        denoise, d_s = mse_loss(s_hat, np.asarray(s_true, dtype=np.float64),
-                                self.spec.N)
+        denoise, d_s = ((0.0, 0.0) if s_hat is None
+                        else mse_loss(s_hat, s_true, self.spec.N))
         if compute_grads:
             zero_grads(self.params())
-            d_s_total = d_s + self.decoder.backward(d_u)
-            self.denoiser.backward(d_s_total)
+            d_y = self.decoder.backward(d_u)
+            if self.denoiser is not None:
+                self.denoiser.backward(d_s + d_y)
         return LossValues(total=denoise + decode, denoise=denoise, decode=decode)
 
 

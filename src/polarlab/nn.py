@@ -54,7 +54,7 @@ def _keep_freed_heap():
                 mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD) == 1])
 
 
-# once per process; a pool worker inherits it by fork or sets it on import
+# once per process; the ber pool's workers inherit it by fork
 KEEPS_FREED_HEAP = _keep_freed_heap()
 
 

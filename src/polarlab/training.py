@@ -115,7 +115,7 @@ def train(model, dataset, config, epoch_callback=None):
             step += 1
             s = dataset.symbols[lo:lo + config.batch_size]
             u = dataset.messages[lo:lo + config.batch_size]
-            y = s + sigma * rng.standard_normal(s.shape)
+            y = polar.awgn_channel(s, sigma, rng)
             values = model.loss(y, s, u, compute_grads=True)
             if not np.isfinite(values.total):
                 raise TrainingDiverged(f"training diverged: non-finite loss "
@@ -176,7 +176,7 @@ def load_checkpoint(path):
             doc = json.load(fh)
     except OSError as exc:
         raise error(f"cannot read: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise error(f"not valid JSON: {exc}") from None
 
     if not isinstance(doc, dict):
@@ -204,9 +204,11 @@ def load_checkpoint(path):
     for idx, entry in enumerate(doc["tensors"]):
         try:
             name = entry["name"]
+            if not set(map(type, entry["values"])) <= {int, float}:
+                raise ValueError("values must be JSON numbers, not strings or bools")
             arr = np.asarray(entry["values"], dtype=np.float64)
             arr = arr.reshape(tuple(entry["shape"]))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise error(f"tensor entry {idx} is malformed: {exc!r}") from None
         if not isinstance(name, str) or name in stored:
             raise error(f"tensor entry {idx} has a bad or repeated name {name!r}")

@@ -204,9 +204,12 @@ def test_load_config_any_json_gives_settings_or_usage_error(tmp_path_factory, do
 
 def test_config_invalid_json(tmp_path, capsys):
     path = tmp_path / "config.json"
-    path.write_text("{not json")
-    assert run("train", "--config", str(path), "--out", str(tmp_path / "x")) == 2
-    assert "JSON" in capsys.readouterr().err
+    # nested deep enough that the JSON decoder raises RecursionError
+    for text in ("{not json", "[" * 200_000):
+        path.write_text(text)
+        assert run("train", "--config", str(path), "--out", str(tmp_path / "x")) == 2
+        assert "JSON" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_config_missing_file(tmp_path):
@@ -418,10 +421,12 @@ def test_out_naming_a_file_exits_2(tmp_path, capsys):
     assert taken.read_text() == "keep me"
 
 
-def test_empty_out_in_config_exits_2(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("config,flags", [({"out": ""}, []), ({}, ["--out", ""])],
+                         ids=["config", "flag"])
+def test_empty_out_in_config_exits_2(tmp_path, capsys, monkeypatch, config, flags):
     monkeypatch.chdir(tmp_path)
-    cfg = write_config(tmp_path, out="")
-    assert run("ber", "--config", cfg) == 2
+    cfg = write_config(tmp_path, **config)
+    assert run("ber", "--config", cfg, *flags) == 2
     assert "output directory" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 

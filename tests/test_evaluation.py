@@ -151,11 +151,12 @@ def test_ber_workers_match_serial(sweep):
 
 
 def test_ber_pool_capped_at_usable_cpus(monkeypatch):
-    sizes = []
+    sizes, start_methods = [], []
 
     class NoPool:
         def __init__(self, max_workers, **kwargs):
             sizes.append(max_workers)
+            start_methods.append(kwargs["mp_context"].get_start_method())
             raise RuntimeError("no pool started")
 
     def pool_size(workers):
@@ -174,6 +175,9 @@ def test_ber_pool_capped_at_usable_cpus(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 5)
     assert pool_size(500) == 5
+    # workers inherit the decoder and the one BLAS thread, whatever the
+    # platform's default start method
+    assert start_methods == ["fork"] * 4
 
 
 def blas_threads():
@@ -227,13 +231,6 @@ def test_ber_pool_parent_blas_threads_restored_on_error(two_blas_threads,
     # one thread while the pool would fork, the old count after
     assert seen == [1]
     assert blas_threads() == 2
-
-
-def test_init_worker_sets_one_blas_thread(two_blas_threads, monkeypatch):
-    # what a worker that did not inherit the parent's count does
-    monkeypatch.setattr(ev, "_worker", None)
-    ev._init_worker(ev.ScDecoder(CODE), CODE)
-    assert blas_threads() == 1
 
 
 def _pickled_size(obj):
@@ -506,10 +503,17 @@ BER_HEAD = "decoder,ebn0_db,frames,bit_errors,ber\r\n"
     (BER_HEAD + "sc,0.0,10,1,0.0125\r\nsc,1.0,10,1\r\n", "line 3: 4 fields"),
     (BER_HEAD + "sc,0.0,10,1,0.0125,7\r\n", "line 2: 6 fields"),
     (BER_HEAD + "sc,0.0,ten,1,0.0125\r\n", "line 2: invalid literal"),
-], ids=["empty", "header", "short-row", "long-row", "bad-value"])
+    # one over the csv module's default field size limit
+    (BER_HEAD + "sc,0.0,1" + "0" * 131_072 + ",1,0.0125\r\n",
+     "line 2: field larger"),
+    # a lone surrogate escapes to the byte 0xff, which is not UTF-8
+    (BER_HEAD + "sc,0.0,10,1,0.0125\r\nsc\udcff,1.0,10,1,0.0125\r\n",
+     "line 3: not UTF-8"),
+], ids=["empty", "header", "short-row", "long-row", "bad-value", "huge-field",
+        "not-utf-8"])
 def test_csv_reader_names_file_and_line(tmp_path, text, where):
     path = tmp_path / "ber.csv"
-    path.write_bytes(text.encode())
+    path.write_bytes(text.encode(errors="surrogateescape"))
     with pytest.raises(ValueError, match=f"ber.csv, {where}"):
         ev.read_rows(path, ev.BerRow)
 

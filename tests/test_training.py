@@ -242,9 +242,11 @@ def test_checkpoint_rejects_nonfinite_and_garbage(tmp_path):
         load_checkpoint(path)
 
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    with pytest.raises(CheckpointError, match="JSON"):
-        load_checkpoint(bad)
+    # nested deep enough that the JSON decoder raises RecursionError
+    for text in ("{not json", "[" * 200_000):
+        bad.write_text(text)
+        with pytest.raises(CheckpointError, match="JSON"):
+            load_checkpoint(bad)
     with pytest.raises(CheckpointError, match="cannot read"):
         load_checkpoint(tmp_path / "missing.json")
 
@@ -316,6 +318,17 @@ def _doc(**fields):
     (_doc(tensors=[{"name": "decoder.0.b", "shape": [1]}]), "entry 0"),
     (_doc(tensors=[{"name": "decoder.0.b", "shape": [1], "values": ["x"]}]),
      "entry 0"),
+    (_doc(tensors=[{"name": "decoder.0.b", "shape": [1], "values": ["0.5"]}]),
+     "entry 0"),
+    (_doc(tensors=[{"name": "decoder.0.b", "shape": [1], "values": [True]}]),
+     "entry 0"),
+    (_doc(tensors=[{"name": "decoder.0.b", "shape": [1], "values": [[0.0]]}]),
+     "entry 0"),
+    (_doc(tensors=[{"name": "decoder.0.b", "shape": [1], "values": 0.0}]),
+     "entry 0"),
+    # a JSON integer too large for a double
+    (_doc(tensors=[{"name": "decoder.0.b", "shape": [1], "values": [10 ** 400]}]),
+     "entry 0"),
     (_doc(tensors=[{"name": "decoder.0.b", "shape": None, "values": [0.0]}]),
      "entry 0"),
     (_doc(tensors=[{"name": ["decoder.0.b"], "shape": [1], "values": [0.0]}]),
@@ -331,6 +344,8 @@ def _doc(**fields):
     (_doc(tensors=None), "'tensors' must be a list"),
 ], ids=["not-an-object", "spec-not-an-object", "tensor-without-name",
         "tensor-without-shape", "tensor-without-values", "tensor-str-values",
+        "tensor-numeric-str-values", "tensor-bool-values", "tensor-nested-values",
+        "tensor-scalar-values", "tensor-huge-int-values",
         "tensor-null-shape", "tensor-list-name", "tensors-an-object", "tensors-not-objects",
         "null-seed", "negative-seed", "null-epoch", "float-epoch", "bool-epoch",
         "fields-missing", "null-tensors"])
