@@ -10,6 +10,8 @@ thread, at seed 11 on the (16, 8) code:
 - ``ber`` of SC and those checkpoints at Eb/N0 0 and 2.5 dB, 6,000 frames
   a point, serial and again with ``--workers 2``;
 - ``snr`` and ``pdf`` at 5,000 frames on rnn-rnnd and mlp-rnnd;
+- ``ber`` of SC alone on the (64, 32) code, whose decoding tree, unlike
+  (16, 8)'s, has rate-0 nodes;
 - ``params``, whose standard output is hashed as ``params.txt``.
 
 It prints one ``sha256  file`` line per output. Run it in two checkouts and
@@ -84,6 +86,11 @@ def run(root):
             _run(command, "--config", evaluation, "--out", str(root / command / arch),
                  checkpoints[arch])
             outputs.append(f"{command}/{arch}/{command}.csv")
+    _run("ber", "--config", config("sc-64-32", code={"N": 64, "K": 32},
+                                   eval={**CONFIG["eval"],
+                                         "min_bit_errors": BER_FRAMES * 32 + 1}),
+         "--out", str(root / "ber-64-32"))
+    outputs.append("ber-64-32/ber.csv")
     (root / "params.txt").write_text(_run("params"))
     outputs.append("params.txt")
     return outputs

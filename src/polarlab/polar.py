@@ -5,13 +5,14 @@ Conventions used throughout:
 * message index 0 is the first synthetic channel; frozen positions carry 0
 * the encoder computes ``x = u B F`` where ``F`` is the n-fold Kronecker
   power of ``[[1, 0], [1, 1]]`` and ``B`` is the bit-reversal permutation;
-  ``B`` commutes with ``F``, so this is implemented as a butterfly network
-  followed by an output permutation
+  it places the message bits at their bit-reversed positions (``u B``) and
+  runs the butterfly network (``F``) in place
 * BPSK maps bit 0 to +1.0 and bit 1 to -1.0
 * channel LLRs are ``2 y / sigma^2``; positive LLR favours bit 0
 """
 
 import functools
+import math
 
 import numpy as np
 from dataclasses import dataclass
@@ -19,14 +20,17 @@ from dataclasses import dataclass
 # SC f-function inputs are clamped here so arctanh stays finite.
 LLR_CLAMP = 30.0
 
+# Kinds of node in the SC decoding tree (``PolarCode.sc_tree``).
+RATE0, RATE1, REP, SPLIT = "rate-0", "rate-1", "rep", "split"
+
 
 @dataclass(frozen=True)
 class PolarCode:
     """A polar code of length ``N`` with ``K`` information positions.
 
     ``info_set`` and ``frozen_set`` are ascending tuples of message indices
-    that partition ``range(N)``. Their array forms are built on first use
-    and are read-only.
+    that partition ``range(N)``. Their array forms and the SC decoding
+    tree are built on first use and are read-only.
     """
 
     N: int
@@ -49,6 +53,25 @@ class PolarCode:
         mask = np.zeros(self.N, dtype=bool)
         mask[list(self.frozen_set)] = True
         return _read_only(mask)
+
+    @functools.cached_property
+    def sc_tree(self):
+        """The SC decoding tree, as nested tuples ``(kind, size)`` and
+        ``(SPLIT, size, left, right)``. A node covers ``size`` consecutive
+        message positions: ``RATE0`` all frozen, ``RATE1`` none frozen,
+        ``REP`` only the last one free, ``SPLIT`` anything else."""
+        return _sc_node(self.frozen_mask)
+
+
+def _sc_node(frozen):
+    size = len(frozen)
+    if frozen.all():
+        return (RATE0, size)
+    if not frozen.any():
+        return (RATE1, size)
+    if frozen[:-1].all():
+        return (REP, size)
+    return (SPLIT, size, _sc_node(frozen[:size // 2]), _sc_node(frozen[size // 2:]))
 
 
 def _read_only(a):
@@ -128,31 +151,27 @@ def polar_transform(bits):
     The transform is an involution: applying it twice returns the input.
     """
     bits = np.asarray(bits)
-    N = bits.shape[-1]
-    _check_block_length(N)
-    x = bits.astype(np.int64)
+    _check_block_length(bits.shape[-1])
+    v = bits.T[bit_reversal_permutation(bits.shape[-1])]
+    return _butterfly(np.ascontiguousarray(v, dtype=np.int64)).T
+
+
+def _butterfly(x):
+    """Apply ``F``, its own inverse, in place along the first axis of the
+    C-contiguous int array ``x``: each XOR pairs two runs of frames."""
+    N = x.shape[0]
     h = 1
     while h < N:
-        x = x.reshape(x.shape[:-1] + (N // (2 * h), 2, h))
-        x[..., 0, :] ^= x[..., 1, :]
-        x = x.reshape(x.shape[:-3] + (N,))
+        v = x.reshape(N // (2 * h), 2, h * (x.size // N))
+        v[:, 0] ^= v[:, 1]
         h *= 2
-    return x[..., bit_reversal_permutation(N)]
+    return x
 
 
 def _all_binary(bits):
     """True if every element equals 0 or 1. Two comparisons, not ``np.isin``,
     which sorts: the Monte-Carlo loop checks every block it draws."""
     return bool(((bits == 0) | (bits == 1)).all())
-
-
-def _validate_bits(bits, length, what):
-    bits = np.asarray(bits)
-    if bits.shape[-1] != length:
-        raise ValueError(f"{what} must have length {length}, got {bits.shape[-1]}")
-    if not _all_binary(bits):
-        raise ValueError(f"{what} must be 0/1 valued")
-    return bits.astype(np.int64)
 
 
 def encode(code, info_bits):
@@ -170,10 +189,17 @@ def encode(code, info_bits):
     ndarray
         Codeword bits, same leading shape with last axis ``code.N``.
     """
-    info_bits = _validate_bits(info_bits, code.K, "info_bits")
-    u = np.zeros(info_bits.shape[:-1] + (code.N,), dtype=np.int64)
-    u[..., code.info_index] = info_bits
-    return polar_transform(u)
+    info_bits = np.asarray(info_bits)
+    if info_bits.shape[-1] != code.K:
+        raise ValueError(f"info_bits must have length {code.K}, got {info_bits.shape[-1]}")
+    if not _all_binary(info_bits):
+        raise ValueError("info_bits must be 0/1 valued")
+    # x = u B F = (u B) F: each bit goes to its bit-reversed position
+    x = np.zeros((code.N,) + info_bits.shape[-2::-1], dtype=np.int64)
+    x[bit_reversal_permutation(code.N)[code.info_index]] = info_bits.T
+    # a column-major view: a row-major copy costs a pass and made training,
+    # which slices rows of the codebook, about 2% slower
+    return _butterfly(x).T
 
 
 def bpsk_modulate(bits):
@@ -224,27 +250,51 @@ def _boxplus(a, b):
     return 2.0 * np.arctanh(t)
 
 
-def _sc_recurse(llr, frozen):
-    """Batched SC recursion on natural-order LLRs.
+def _rate1_min_llr(size):
+    """Least |LLR| at which a rate-1 node of ``size`` leaves takes the hard
+    decision of its LLRs.
 
-    Returns ``(u_hat, x_hat)`` where ``x_hat`` is the re-encoding of
-    ``u_hat`` under the butterfly (no output permutation).
+    Inside a rate-1 node SC's decisions re-encode to the hard decision of
+    the node's LLRs as long as no f-value is zero: each f then has the sign
+    product of its inputs, so each g = b + sign(a b) a = sign(b) (|a| + |b|)
+    keeps the sign of b. Let theta = tanh(bound / 2) and every node LLR
+    have tanh(min(|llr|, LLR_CLAMP) / 2) >= theta. A left child gets
+    tanh(|f| / 2) = t_a t_b (up to rounding) and a right child
+    tanh(|g| / 2) >= t_b, so every value at depth d keeps
+    tanh(|.| / 2) >= theta^(2^d) >= theta^size. The bound sets
+    theta^size = 2^-1000: every tanh, product and arctanh stays a normal
+    double, 2^22 above the smallest, so no rounding takes one to a signed
+    zero. An exact 0 or a NaN fails the bound too.
     """
-    M = llr.shape[1]
-    if M == 1:
-        if frozen[0]:
-            u = np.zeros(llr.shape[0], dtype=np.int64)
-        else:
-            u = (llr[:, 0] < 0).astype(np.int64)
-        u = u[:, None]
-        return u, u
-    half = M // 2
-    u_left, x_left = _sc_recurse(_boxplus(llr[:, :half], llr[:, half:]),
-                                 frozen[:half])
-    llr_right = llr[:, half:] + (1 - 2 * x_left) * llr[:, :half]
-    u_right, x_right = _sc_recurse(llr_right, frozen[half:])
-    return (np.concatenate([u_left, u_right], axis=1),
-            np.concatenate([x_left ^ x_right, x_right], axis=1))
+    return 2.0 * math.atanh(2.0 ** (-1000.0 / size))
+
+
+def _sc_node_decode(node, llr):
+    """SC decisions of one tree node for natural-order LLR rows ``llr``,
+    returned as their butterfly re-encoding ``x_hat = u_hat F`` (no output
+    permutation); ``u_hat`` is ``x_hat F`` again."""
+    kind, size = node[:2]
+    if kind == RATE0:
+        return np.zeros(llr.shape, dtype=np.int64)
+    if kind == REP:
+        # every g above the free leaf is b + a, added in SC's order
+        while llr.shape[1] > 1:
+            llr = llr[:, llr.shape[1] // 2:] + llr[:, :llr.shape[1] // 2]
+        return np.repeat((llr < 0).astype(np.int64), size, axis=1)
+    if kind == RATE1:
+        x = (llr < 0).astype(np.int64)
+        if size > 1:
+            far = np.abs(llr) >= _rate1_min_llr(size)
+            if not far.all():
+                # rows that could reach a zero f-value take SC's own recursion
+                near = ~far.all(axis=1)
+                half = (RATE1, size // 2)
+                x[near] = _sc_node_decode((SPLIT, size, half, half), llr[near])
+        return x
+    half = size // 2
+    x_left = _sc_node_decode(node[2], _boxplus(llr[:, :half], llr[:, half:]))
+    x_right = _sc_node_decode(node[3], llr[:, half:] + (1 - 2 * x_left) * llr[:, :half])
+    return np.concatenate([x_left ^ x_right, x_right], axis=1)
 
 
 def sc_decode_batch(code, y, sigma):
@@ -267,8 +317,8 @@ def sc_decode_batch(code, y, sigma):
     if y.ndim != 2 or y.shape[1] != code.N:
         raise ValueError(f"y must have shape (frames, {code.N}), got {y.shape}")
     llr = channel_llr(y, sigma)[:, bit_reversal_permutation(code.N)]
-    u_hat, _ = _sc_recurse(llr, code.frozen_mask)
-    return u_hat[:, code.info_index]
+    x_hat = np.ascontiguousarray(_sc_node_decode(code.sc_tree, llr).T)
+    return _butterfly(x_hat)[code.info_index].T
 
 
 def sc_decode(code, y, sigma):

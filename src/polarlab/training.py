@@ -207,7 +207,11 @@ def load_checkpoint(path):
             if not set(map(type, entry["values"])) <= {int, float}:
                 raise ValueError("values must be JSON numbers, not strings or bools")
             arr = np.asarray(entry["values"], dtype=np.float64)
-            arr = arr.reshape(tuple(entry["shape"]))
+            shape = entry["shape"]
+            # a -1 would let reshape infer a dimension; reshape checks the count
+            if type(shape) is not list or not all(type(d) is int and d >= 0 for d in shape):
+                raise ValueError(f"shape must be a list of non-negative integers, got {shape!r}")
+            arr = arr.reshape(shape)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise error(f"tensor entry {idx} is malformed: {exc!r}") from None
         if not isinstance(name, str) or name in stored:

@@ -4,17 +4,25 @@ The construction and encoder tests check against two independent oracles:
 an exact erasure-channel enumeration (reliability parameters computed by
 brute force over all erasure patterns) and the explicit generator matrix
 built from Kronecker powers. Expected values derived from those oracles
-are also frozen inline as regression fixtures.
+are also frozen inline as regression fixtures. The pruned SC decoder is
+checked against the plain SC recursion, which visits every node.
 """
 
+import functools
 import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from polarlab import polar
 from polarlab.polar import (
+    LLR_CLAMP,
+    RATE0,
+    RATE1,
+    REP,
+    SPLIT,
     PolarCode,
     awgn_channel,
     bhattacharyya_bounds,
@@ -37,8 +45,10 @@ Z8_EXPECTED = [0.99609375, 0.87890625, 0.80859375, 0.31640625,
 INFO_SET_16_8 = (7, 9, 10, 11, 12, 13, 14, 15)
 
 
+@functools.cache
 def generator_matrix(N):
-    """Oracle: explicit ``B F^{kron n}`` over GF(2)."""
+    """Oracle: explicit ``B F^{kron n}`` over GF(2). Cached and read-only,
+    since a 1024 x 1024 product takes seconds."""
     F = np.array([[1, 0], [1, 1]], dtype=np.int64)
     G = np.array([[1]], dtype=np.int64)
     for _ in range(N.bit_length() - 1):
@@ -46,7 +56,9 @@ def generator_matrix(N):
     B = np.zeros((N, N), dtype=np.int64)
     for i, r in enumerate(bit_reversal_permutation(N)):
         B[i, r] = 1
-    return (B @ G) % 2
+    G = (B @ G) % 2
+    G.flags.writeable = False
+    return G
 
 
 def erasure_unreliability(N):
@@ -130,6 +142,32 @@ def test_code_index_arrays_are_built_once_and_read_only():
     assert np.flatnonzero(code.frozen_mask).tolist() == list(code.frozen_set)
 
 
+def _tree_parts(node):
+    yield node
+    for child in node[2:]:
+        yield from _tree_parts(child)
+
+
+def test_sc_tree_is_built_once_and_read_only():
+    code = construct_code(16, 8)
+    tree = code.sc_tree
+    assert code.sc_tree is tree
+    # nested tuples of strings and ints: nothing in it can be changed
+    for node in _tree_parts(tree):
+        assert type(node) is tuple and len(node) in (2, 4)
+        assert type(node[0]) is str and type(node[1]) is int
+    with pytest.raises(TypeError):
+        tree[2] = (RATE0, 8)
+
+
+def test_sc_tree_16_8():
+    # frozen (0..6, 8): u[0:8] has only its last bit free, u[8:10] likewise,
+    # u[10:12] and u[12:16] none frozen
+    assert construct_code(16, 8).sc_tree == (
+        SPLIT, 16, (REP, 8),
+        (SPLIT, 8, (SPLIT, 4, (REP, 2), (RATE1, 2)), (RATE1, 4)))
+
+
 def test_construct_rejects_bad_shapes():
     with pytest.raises(ValueError):
         construct_code(12, 4)
@@ -182,6 +220,18 @@ def test_encode_is_linear(code, seed):
     a, b = np.random.default_rng(seed).integers(0, 2, size=(2, 4, code.K))
     np.testing.assert_array_equal(encode(code, a ^ b),
                                   encode(code, a) ^ encode(code, b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(code=_codes(), frames=st.integers(1, 4), seed=_SEED)
+def test_encode_matches_generator_matrix(code, frames, seed):
+    msgs = np.random.default_rng(seed).integers(0, 2, size=(frames, code.K))
+    u = np.zeros((frames, code.N), dtype=np.int64)
+    u[:, list(code.info_set)] = msgs
+    x = encode(code, msgs)
+    assert x.dtype == np.int64
+    np.testing.assert_array_equal(x, (u @ generator_matrix(code.N)) % 2)
+    np.testing.assert_array_equal(encode(code, msgs[0]), x[0])
 
 
 @settings(max_examples=100, deadline=None)
@@ -350,3 +400,139 @@ def test_llr_clamp_keeps_values_finite():
     # tiny sigma drives raw channel LLRs to +-2e6; decode must stay finite
     got = sc_decode(code, y, 1e-3)
     np.testing.assert_array_equal(got, np.ones(8, dtype=np.int64))
+
+
+# ------------------------------------------------------------- pruned SC oracle
+
+def _sc_reference(llr, frozen):
+    """Oracle: the plain batched SC recursion, which visits every node.
+
+    Returns ``(u_hat, x_hat)`` where ``x_hat`` is the re-encoding of
+    ``u_hat`` under the butterfly (no output permutation). Its f-rule is
+    ``polar._boxplus``, so equal decisions mean equal bits, not near ones.
+    """
+    M = llr.shape[1]
+    if M == 1:
+        if frozen[0]:
+            u = np.zeros(llr.shape[0], dtype=np.int64)
+        else:
+            u = (llr[:, 0] < 0).astype(np.int64)
+        u = u[:, None]
+        return u, u
+    half = M // 2
+    u_left, x_left = _sc_reference(polar._boxplus(llr[:, :half], llr[:, half:]),
+                                   frozen[:half])
+    llr_right = llr[:, half:] + (1 - 2 * x_left) * llr[:, :half]
+    u_right, x_right = _sc_reference(llr_right, frozen[half:])
+    return (np.concatenate([u_left, u_right], axis=1),
+            np.concatenate([x_left ^ x_right, x_right], axis=1))
+
+
+def _reference_decode(code, y, sigma):
+    llr = channel_llr(y, sigma)[:, bit_reversal_permutation(code.N)]
+    return _sc_reference(llr, code.frozen_mask)[0][:, code.info_index]
+
+
+def _special_llrs(N):
+    """Values where a shortcut could part from SC: exact and signed zeros,
+    the smallest subnormal, clamp-sized and non-finite values, and values
+    just either side of each rate-1 node size's bound."""
+    values = [0.0, -0.0, 5e-324, -5e-324, 1e-320, 1e6, -1e6, np.inf, -np.inf,
+              np.nan, LLR_CLAMP, -LLR_CLAMP]
+    size = 2
+    while size <= N:
+        bound = polar._rate1_min_llr(size)
+        values += [bound, np.nextafter(bound, 0.0), -bound, -np.nextafter(bound, 0.0),
+                   bound * 0.5, bound * 2.0]
+        size *= 2
+    return values
+
+
+@st.composite
+def _llr_batches(draw):
+    """A code, and natural-order LLR rows of noisy codewords (one row or
+    many) with special values written over some of them."""
+    code = draw(_codes())
+    frames = draw(st.one_of(st.just(1), st.integers(2, 40)))
+    rng = np.random.default_rng(draw(_SEED))
+    sigma = draw(st.sampled_from([0.3, 0.8, 1.5, 4.0]))
+    y = awgn_channel(bpsk_modulate(encode(code, rng.integers(0, 2, (frames, code.K)))),
+                     sigma, rng)
+    llr = channel_llr(y, sigma)[:, bit_reversal_permutation(code.N)]
+    values = _special_llrs(code.N)
+    for _ in range(draw(st.integers(0, 12))):
+        row, col = draw(st.integers(0, frames - 1)), draw(st.integers(0, code.N - 1))
+        llr[row, col] = draw(st.sampled_from(values))
+    return code, llr
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_llr_batches())
+# ROADMAP's case: N = 2, y = (0, -1) at sigma 1. A hard decision of the
+# rate-1 root gives u = (1, 1); SC gives (0, 1).
+@example(case=(construct_code(2, 2), np.array([[0.0, -2.0]])))
+def test_pruned_sc_matches_reference_recursion(case):
+    code, llr = case
+    u_ref, x_ref = _sc_reference(llr, code.frozen_mask)
+    x_hat = polar._sc_node_decode(code.sc_tree, llr)
+    np.testing.assert_array_equal(x_hat, x_ref)
+    np.testing.assert_array_equal(
+        polar._butterfly(np.ascontiguousarray(x_hat.T)).T, u_ref)
+
+
+@settings(max_examples=100, deadline=None)
+@given(code=_codes(), frames=st.one_of(st.just(1), st.integers(2, 40)),
+       sigma=st.floats(0.05, 5.0), seed=_SEED)
+def test_sc_decode_batch_matches_reference_recursion(code, frames, sigma, seed):
+    rng = np.random.default_rng(seed)
+    y = awgn_channel(bpsk_modulate(encode(code, rng.integers(0, 2, (frames, code.K)))),
+                     sigma, rng)
+    # zeros, a subnormal and clamp-sized values among the received symbols
+    y.flat[rng.integers(0, y.size, 3)] = rng.choice([0.0, -0.0, 5e-324, 1e6], 3)
+    np.testing.assert_array_equal(sc_decode_batch(code, y, sigma),
+                                  _reference_decode(code, y, sigma))
+    np.testing.assert_array_equal(sc_decode(code, y[0], sigma),
+                                  _reference_decode(code, y[:1], sigma)[0])
+
+
+@pytest.mark.parametrize("M", [2 ** m for m in range(1, 11)])
+def test_rate1_bound_sits_above_the_underflow(M):
+    # rows of a rate-1 (M, M) code whose |LLR| all equal one magnitude:
+    # at the bound SC takes the hard decision; where tanh(|llr| / 2)^M is
+    # below half the smallest subnormal an f-value underflows to a signed
+    # zero and SC parts from it, so those rows must take SC's recursion
+    code = construct_code(M, M)
+    signs = np.random.default_rng(M).choice([-1.0, 1.0], size=(32, M))
+    bound = signs * polar._rate1_min_llr(M)
+    np.testing.assert_array_equal(_sc_reference(bound, code.frozen_mask)[1], bound < 0)
+    under = signs * 2.0 * np.arctanh(2.0 ** (-1076.0 / M))
+    x_ref = _sc_reference(under, code.frozen_mask)[1]
+    assert (x_ref != (under < 0)).any()
+    np.testing.assert_array_equal(polar._sc_node_decode(code.sc_tree, under), x_ref)
+
+
+def test_sc_rate1_tie_decides_as_sc():
+    # LLRs (0, -2): the f-value is 0, so SC decides u_0 = 0 and then
+    # u_1 = 1; the rate-1 root's hard decision x = (0, 1) would give u = (1, 1)
+    np.testing.assert_array_equal(
+        sc_decode(construct_code(2, 2), np.array([0.0, -1.0]), 1.0), [0, 1])
+
+
+def test_pruned_sc_16_8_calls_boxplus_three_times(monkeypatch):
+    # the plain recursion makes 15 calls: one per internal node of the tree
+    calls = []
+    boxplus = polar._boxplus
+
+    def counted(a, b):
+        calls.append(a.shape)
+        return boxplus(a, b)
+
+    monkeypatch.setattr(polar, "_boxplus", counted)
+    code = construct_code(16, 8)
+    y = bpsk_modulate(encode(code, np.ones(8, dtype=np.int64)))
+    np.testing.assert_array_equal(sc_decode(code, y, 0.8), np.ones(8))
+    assert calls == [(1, 8), (1, 4), (1, 2)]
+    calls.clear()
+    _sc_reference(channel_llr(y, 0.8)[None, bit_reversal_permutation(16)],
+                  code.frozen_mask)
+    assert len(calls) == 15

@@ -331,6 +331,11 @@ def _doc(**fields):
      "entry 0"),
     (_doc(tensors=[{"name": "decoder.0.b", "shape": None, "values": [0.0]}]),
      "entry 0"),
+    # numpy would infer a -1 dimension from the value count
+    (_doc(tensors=[{"name": "decoder.0.b", "shape": [-1], "values": [0.0]}]),
+     "entry 0"),
+    (_doc(tensors=[{"name": "decoder.0.b", "shape": [1, -1], "values": [0.0]}]),
+     "entry 0"),
     (_doc(tensors=[{"name": ["decoder.0.b"], "shape": [1], "values": [0.0]}]),
      "entry 0"),
     (_doc(tensors={"decoder.0.b": [0.0]}), "'tensors' must be a list"),
@@ -346,7 +351,8 @@ def _doc(**fields):
         "tensor-without-shape", "tensor-without-values", "tensor-str-values",
         "tensor-numeric-str-values", "tensor-bool-values", "tensor-nested-values",
         "tensor-scalar-values", "tensor-huge-int-values",
-        "tensor-null-shape", "tensor-list-name", "tensors-an-object", "tensors-not-objects",
+        "tensor-null-shape", "tensor-inferred-shape", "tensor-inferred-column-shape",
+        "tensor-list-name", "tensors-an-object", "tensors-not-objects",
         "null-seed", "negative-seed", "null-epoch", "float-epoch", "bool-epoch",
         "fields-missing", "null-tensors"])
 def test_checkpoint_rejects_malformed_document(tmp_path, doc, match):
