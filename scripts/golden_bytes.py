@@ -9,7 +9,9 @@ thread, at seed 11 on the (16, 8) code:
 - ``train`` of each of ``ARCHS`` for 3 epochs at batch 64;
 - ``ber`` of SC and those checkpoints at Eb/N0 0 and 2.5 dB, 6,000 frames
   a point, serial and again with ``--workers 2``;
-- ``snr`` and ``pdf`` at 5,000 frames on rnn-rnnd and mlp-rnnd;
+- ``snr`` and ``pdf`` at 5,000 frames on rnn-rnnd, mlp-rnnd and cnn-rnnd,
+  whose tiled denoiser splits the last 904-frame chunk into 60/61-frame
+  tiles;
 - ``ber`` of SC alone on the (64, 32) code, whose decoding tree, unlike
   (16, 8)'s, has rate-0 nodes;
 - ``params``, whose standard output is hashed as ``params.txt``.
@@ -37,7 +39,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from polarlab import cli  # noqa: E402
 
 ARCHS = ("rnn-nnd", "rnn-rnnd", "mlp-nnd", "mlp-rnnd", "cnn-rnnd", "cnn-nnd")
-DENOISERS = ("rnn-rnnd", "mlp-rnnd")
+DENOISERS = ("rnn-rnnd", "mlp-rnnd", "cnn-rnnd")
 BER_FRAMES = 6000
 CONFIG = {
     "code": {"N": 16, "K": 8},

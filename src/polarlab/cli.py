@@ -63,6 +63,8 @@ class UsageError(Exception):
 def _check_length(N):
     if N > MAX_N:
         raise UsageError(f"block length N must be at most {MAX_N}, got {N}")
+    if N < 1 or N & (N - 1):
+        raise UsageError(f"block length N must be a power of two, got {N}")
 
 
 @dataclass(frozen=True)
@@ -161,11 +163,11 @@ def _section(section, name, cls, skip=()):
 def load_config(path):
     """Parse a JSON config file into Settings, rejecting unknown keys."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise UsageError(f"config {path} is not valid JSON: {exc}") from exc
     _check_keys(raw, _TOP_KEYS, "top level")
     kinds = {f.name: f.type for f in dataclasses.fields(Settings)}
@@ -230,10 +232,10 @@ def _codebook(code):
 def _prepare_out(settings, filenames, force):
     try:
         os.makedirs(settings.out, exist_ok=True)
-    except OSError as exc:
-        # an existing file, an empty name, a path through a file
+    except (OSError, ValueError) as exc:
+        # an existing file, an empty name, a path through a file, a NUL byte
         raise UsageError(f"cannot use {settings.out!r} as the output "
-                         f"directory: {exc.strerror or exc}") from exc
+                         f"directory: {getattr(exc, 'strerror', None) or exc}") from exc
     paths = [os.path.join(settings.out, name) for name in filenames]
     if not force:
         for path in paths:

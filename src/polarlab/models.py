@@ -10,7 +10,6 @@ bottleneck, and trains on the decoding term alone.
 
 import numpy as np
 from dataclasses import dataclass
-from itertools import accumulate
 
 from polarlab.nn import (
     Affine,
@@ -202,19 +201,6 @@ def spec_param_count(spec):
 INFERENCE_TILE = {"mlp": None, "cnn": 64, "rnn": 128}
 
 
-def tile_slices(batch, tile):
-    """Contiguous row slices that split ``batch`` frames into the fewest
-    tiles of at most ``tile`` frames, near-equal as ``np.array_split``
-    makes them. For ``tile >= 3`` no tile is a single frame unless the
-    batch is, since a one-row product goes to gemv and changes the bits.
-    """
-    count = max(1, -(-batch // tile))
-    size, extra = divmod(batch, count)
-    bounds = list(accumulate([size + 1] * extra + [size] * (count - extra),
-                             initial=0))
-    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-
-
 class Model:
     """A built decoder (optionally with its residual denoiser)."""
 
@@ -261,12 +247,14 @@ class Model:
 
     def _run(self, stack, x, keep):
         """``stack.forward(x)``, whole when ``keep`` is set or the family is
-        untiled, else over ``tile_slices`` of the rows, joined."""
+        untiled, else joined from the fewest ``np.array_split`` parts of at
+        most ``tile`` rows: for ``tile >= 3`` none is a single frame unless
+        the batch is, as a one-row product goes to gemv and changes the bits."""
         tile = INFERENCE_TILE[self.spec.family]
         if keep or tile is None:
             return stack.forward(x, keep)
-        return np.concatenate([stack.forward(x[rows])
-                               for rows in tile_slices(len(x), tile)])
+        return np.concatenate([stack.forward(part) for part in
+                               np.array_split(x, max(1, -(-len(x) // tile)))])
 
     def loss(self, y, s_true, u_true, compute_grads=False):
         """Multi-task loss for RNND, decoding loss for NND.

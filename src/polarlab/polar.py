@@ -91,14 +91,10 @@ def bit_reversal_permutation(N):
     Built once per ``N``; every call returns the same read-only array.
     """
     _check_block_length(N)
-    n = N.bit_length() - 1
-    perm = np.zeros(N, dtype=np.int64)
-    for i in range(N):
-        r = 0
-        for b in range(n):
-            if (i >> b) & 1:
-                r |= 1 << (n - 1 - b)
-        perm[i] = r
+    perm = np.zeros(1, dtype=np.int64)
+    while len(perm) < N:
+        # a new top address bit of i becomes the lowest bit of its reversal
+        perm = np.concatenate([2 * perm, 2 * perm + 1])
     return _read_only(perm)
 
 
@@ -143,17 +139,6 @@ def construct_code(N, K):
     frozen = np.sort(order[K:])
     return PolarCode(N=N, K=K, info_set=tuple(int(i) for i in info),
                      frozen_set=tuple(int(i) for i in frozen))
-
-
-def polar_transform(bits):
-    """Apply ``x = v B F`` to the last axis of a 0/1 array.
-
-    The transform is an involution: applying it twice returns the input.
-    """
-    bits = np.asarray(bits)
-    _check_block_length(bits.shape[-1])
-    v = bits.T[bit_reversal_permutation(bits.shape[-1])]
-    return _butterfly(np.ascontiguousarray(v, dtype=np.int64)).T
 
 
 def _butterfly(x):

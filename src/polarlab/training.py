@@ -172,11 +172,11 @@ def load_checkpoint(path):
         return CheckpointError(f"checkpoint {path}: {msg}")
 
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise error(f"cannot read: {exc}") from None
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise error(f"not valid JSON: {exc}") from None
 
     if not isinstance(doc, dict):

@@ -136,8 +136,10 @@ def test_criterion_02_gradient_correctness(code16):
 def test_criterion_03_codec_correctness(code16):
     for n_exp in range(1, 5):
         n = 2 ** n_exp
-        g = polar.polar_transform(np.eye(n, dtype=np.int64))
-        assert np.array_equal(polar.polar_transform(g), np.eye(n, dtype=np.int64)), \
+        # the rate-1 code encodes with the plain transform
+        rate1 = polar.construct_code(n, n)
+        g = polar.encode(rate1, np.eye(n, dtype=np.int64))
+        assert np.array_equal(polar.encode(rate1, g), np.eye(n, dtype=np.int64)), \
             f"transform is not an involution at N={n}"
     msgs = np.array([[(m >> (7 - j)) & 1 for j in range(8)] for m in range(256)])
     y = polar.bpsk_modulate(polar.encode(code16, msgs)).astype(float)

@@ -204,11 +204,13 @@ def test_load_config_any_json_gives_settings_or_usage_error(tmp_path_factory, do
 
 def test_config_invalid_json(tmp_path, capsys):
     path = tmp_path / "config.json"
-    # nested deep enough that the JSON decoder raises RecursionError
-    for text in ("{not json", "[" * 200_000):
-        path.write_text(text)
+    # nested deep enough that the JSON decoder raises RecursionError; bytes
+    # that are not UTF-8
+    for data in (b"{not json", b"[" * 200_000, b"\xff\xfe{}"):
+        path.write_bytes(data)
         assert run("train", "--config", str(path), "--out", str(tmp_path / "x")) == 2
-        assert "JSON" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "JSON" in err and str(path) in err
     assert not (tmp_path / "x").exists()
 
 
@@ -421,8 +423,9 @@ def test_out_naming_a_file_exits_2(tmp_path, capsys):
     assert taken.read_text() == "keep me"
 
 
-@pytest.mark.parametrize("config,flags", [({"out": ""}, []), ({}, ["--out", ""])],
-                         ids=["config", "flag"])
+@pytest.mark.parametrize("config,flags", [({"out": ""}, []), ({}, ["--out", ""]),
+                                          ({"out": "a\u0000b"}, [])],
+                         ids=["config", "flag", "config-nul"])
 def test_empty_out_in_config_exits_2(tmp_path, capsys, monkeypatch, config, flags):
     monkeypatch.chdir(tmp_path)
     cfg = write_config(tmp_path, **config)
@@ -502,6 +505,15 @@ def test_params_refuses_oversized_code_before_building(tmp_path, capsys,
     err = capsys.readouterr().err
     assert "N must be at most 1024" in err and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("arch", ["mlp-rnnd-12-8", "cnn-rnnd-12-8"])
+def test_params_refuses_length_not_a_power_of_two(capsys, arch):
+    assert run("params", arch) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "N must be a power of two" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_params_at_the_longest_code(capsys):

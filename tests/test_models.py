@@ -20,7 +20,6 @@ from polarlab.models import (
     hard_decision,
     parse_arch_name,
     spec_param_count,
-    tile_slices,
 )
 from polarlab.nn import mse_loss, param_count
 
@@ -236,18 +235,34 @@ def test_inference_forward_equals_training_forward(arch, batch):
         assert model.denoise(y).tobytes() == s_want.tobytes()
 
 
+class _RowRecorder:
+    """A stack that returns its input and records the row numbers it saw."""
+
+    def __init__(self):
+        self.tiles = []
+
+    def forward(self, x, keep=False):
+        self.tiles.append(x[:, 0].astype(int).tolist())
+        return x
+
+
 @pytest.mark.parametrize(
     "tile", [3, 4, 5] + sorted(t for t in INFERENCE_TILE.values() if t))
-def test_tile_slices_cover_rows_in_order_without_single_frames(tile):
+def test_inference_tiles_cover_rows_in_order_without_single_frames(tile,
+                                                                   monkeypatch):
+    monkeypatch.setitem(INFERENCE_TILE, "cnn", tile)
     for batch in range(1, 2 * tile + 4):
-        tiles = tile_slices(batch, tile)
-        assert tiles[0].start == 0 and tiles[-1].stop == batch
-        assert all(a.stop == b.start for a, b in zip(tiles, tiles[1:]))
-        sizes = [t.stop - t.start for t in tiles]
+        stack = _RowRecorder()
+        y = np.repeat(np.arange(batch, dtype=float)[:, None], 16, axis=1)
+        _, out = Model(spec_for("cnn-nnd"), None, stack).forward(y)
+        assert out.tobytes() == y.tobytes()
+        # contiguous and in order
+        assert sum(stack.tiles, []) == list(range(batch))
+        sizes = [len(rows) for rows in stack.tiles]
         assert max(sizes) <= tile
         assert min(sizes) >= min(batch, 2)
         # the fewest tiles that fit, and near-equal
-        assert len(tiles) == -(-batch // tile)
+        assert len(sizes) == -(-batch // tile)
         assert max(sizes) - min(sizes) <= 1
 
 

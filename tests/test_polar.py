@@ -3,9 +3,10 @@
 The construction and encoder tests check against two independent oracles:
 an exact erasure-channel enumeration (reliability parameters computed by
 brute force over all erasure patterns) and the explicit generator matrix
-built from Kronecker powers. Expected values derived from those oracles
-are also frozen inline as regression fixtures. The pruned SC decoder is
-checked against the plain SC recursion, which visits every node.
+built from Kronecker powers and a bit reversal of address strings.
+Expected values derived from those oracles are also frozen inline as
+regression fixtures. The pruned SC decoder is checked against the plain SC
+recursion, which visits every node.
 """
 
 import functools
@@ -32,7 +33,6 @@ from polarlab.polar import (
     construct_code,
     ebn0_to_sigma,
     encode,
-    polar_transform,
     sc_decode,
     sc_decode_batch,
 )
@@ -45,6 +45,11 @@ Z8_EXPECTED = [0.99609375, 0.87890625, 0.80859375, 0.31640625,
 INFO_SET_16_8 = (7, 9, 10, 11, 12, 13, 14, 15)
 
 
+def reversed_address(i, N):
+    """Oracle: ``i`` with its ``log2 N`` address bits reversed, as a string."""
+    return int(format(i, f"0{N.bit_length() - 1}b")[::-1], 2)
+
+
 @functools.cache
 def generator_matrix(N):
     """Oracle: explicit ``B F^{kron n}`` over GF(2). Cached and read-only,
@@ -54,8 +59,8 @@ def generator_matrix(N):
     for _ in range(N.bit_length() - 1):
         G = np.kron(G, F)
     B = np.zeros((N, N), dtype=np.int64)
-    for i, r in enumerate(bit_reversal_permutation(N)):
-        B[i, r] = 1
+    for i in range(N):
+        B[i, reversed_address(i, N)] = 1
     G = (B @ G) % 2
     G.flags.writeable = False
     return G
@@ -131,6 +136,12 @@ def test_construct_deterministic():
     assert construct_code(16, 8) == construct_code(16, 8)
 
 
+@pytest.mark.parametrize("N", [2 ** m for m in range(11)])
+def test_bit_reversal_matches_string_reversal(N):
+    assert bit_reversal_permutation(N).tolist() == [reversed_address(i, N)
+                                                    for i in range(N)]
+
+
 def test_code_index_arrays_are_built_once_and_read_only():
     # every SC decode and encode reads them, so they are shared, not rebuilt
     code = construct_code(16, 8)
@@ -180,11 +191,12 @@ def test_construct_rejects_bad_shapes():
 # -------------------------------------------------------------------- encoding
 
 def test_transform_matches_matrix_oracle():
+    # the rate-1 encode is the plain transform x = u B F
     rng = np.random.default_rng(7)
     for N in (2, 4, 8, 16):
         G = generator_matrix(N)
         u = rng.integers(0, 2, size=(5, N))
-        np.testing.assert_array_equal(polar_transform(u), (u @ G) % 2)
+        np.testing.assert_array_equal(encode(construct_code(N, N), u), (u @ G) % 2)
 
 
 def test_unit_vector_encodes_to_matrix_row():
@@ -210,8 +222,9 @@ def _codes(draw):
 @settings(max_examples=100, deadline=None)
 @given(m=st.integers(1, 10), frames=st.integers(1, 4), seed=_SEED)
 def test_transform_is_involution(m, frames, seed):
+    code = construct_code(2 ** m, 2 ** m)
     u = np.random.default_rng(seed).integers(0, 2, size=(frames, 2 ** m))
-    np.testing.assert_array_equal(polar_transform(polar_transform(u)), u)
+    np.testing.assert_array_equal(encode(code, encode(code, u)), u)
 
 
 @settings(max_examples=100, deadline=None)

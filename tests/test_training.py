@@ -242,9 +242,10 @@ def test_checkpoint_rejects_nonfinite_and_garbage(tmp_path):
         load_checkpoint(path)
 
     bad = tmp_path / "bad.json"
-    # nested deep enough that the JSON decoder raises RecursionError
-    for text in ("{not json", "[" * 200_000):
-        bad.write_text(text)
+    # nested deep enough that the JSON decoder raises RecursionError; bytes
+    # that are not UTF-8
+    for data in (b"{not json", b"[" * 200_000, b"\xff\xfe{}"):
+        bad.write_bytes(data)
         with pytest.raises(CheckpointError, match="JSON"):
             load_checkpoint(bad)
     with pytest.raises(CheckpointError, match="cannot read"):
