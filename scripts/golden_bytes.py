@@ -16,25 +16,37 @@ thread, at seed 11 on the (16, 8) code:
   (16, 8)'s, has rate-0 nodes;
 - ``params``, whose standard output is hashed as ``params.txt``.
 
-It prints one ``sha256  file`` line per output. Run it in two checkouts and
-diff what they print: equal lines mean byte-identical outputs. It exits
-non-zero, with a message on standard error, if the pooled ``ber.csv``
-differs from the serial one in any byte; the pooled file gets no line of
-its own, so the output diffs against checkouts that did not run it.
+It prints one ``sha256  file`` line per output: equal lines mean
+byte-identical outputs. It exits non-zero, with a message on standard
+error, if the pooled ``ber.csv`` differs from the serial one in any byte;
+the pooled file gets no line of its own, so the output diffs against
+checkouts that did not run it.
+
+    python scripts/golden_bytes.py --against REV
+
+runs this script on this checkout and the script of a ``git archive`` copy
+of the git revision REV on that copy, and prints a unified diff of the two
+outputs, or the shared lines if there is none. It exits non-zero on any
+difference.
 """
 
+import argparse
 import contextlib
+import difflib
 import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
 # before numpy loads: the bits of a gemm can depend on its thread count
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 from polarlab import cli  # noqa: E402
 
@@ -98,7 +110,37 @@ def run(root):
     return outputs
 
 
+def _script_output(checkout):
+    """What ``checkout``'s own copy of this script prints."""
+    done = subprocess.run([sys.executable, str(checkout / "scripts" / "golden_bytes.py")],
+                          stdout=subprocess.PIPE, check=True, text=True)
+    return done.stdout.splitlines(keepends=True)
+
+
+def against(rev):
+    """Diff this checkout's lines against those of git revision ``rev``;
+    returns the exit status."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
+                             stdout=subprocess.PIPE, check=True).stdout
+    with tempfile.TemporaryDirectory() as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp, filter="data")
+        theirs = _script_output(Path(tmp))
+    ours = _script_output(ROOT)
+    diff = list(difflib.unified_diff(theirs, ours, rev, "this checkout"))
+    sys.stdout.writelines(diff or ours)
+    if diff:
+        print(f"outputs differ from {rev}", file=sys.stderr)
+    return 1 if diff else 0
+
+
 def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", metavar="REV",
+                        help="diff the output against that of git revision REV")
+    args = parser.parse_args()
+    if args.against is not None:
+        sys.exit(against(args.against))
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         for name in run(root):

@@ -63,8 +63,6 @@ class UsageError(Exception):
 def _check_length(N):
     if N > MAX_N:
         raise UsageError(f"block length N must be at most {MAX_N}, got {N}")
-    if N < 1 or N & (N - 1):
-        raise UsageError(f"block length N must be a power of two, got {N}")
 
 
 @dataclass(frozen=True)
@@ -90,9 +88,15 @@ class EvalSettings:
 
 
 @dataclass(frozen=True)
-class Settings:
+class CodeSettings:
     N: int = 16
     K: int = 8
+
+
+@dataclass(frozen=True)
+class Settings:
+    """Every setting, in the shape of the JSON config document."""
+    code: CodeSettings = CodeSettings()
     arch: str = "mlp-rnnd"
     train: TrainConfig = TrainConfig()
     eval: EvalSettings = EvalSettings()
@@ -102,11 +106,11 @@ class Settings:
     def __post_init__(self):
         if self.seed < 0:
             raise UsageError(f"seed must be non-negative, got {self.seed}")
-        _check_length(self.N)
-        if self.eval.bench_frames * self.N > MAX_BENCH_SYMBOLS:
+        _check_length(self.code.N)
+        if self.eval.bench_frames * self.code.N > MAX_BENCH_SYMBOLS:
             raise UsageError(f"eval.bench_frames * N must be at most "
                              f"{MAX_BENCH_SYMBOLS}, got {self.eval.bench_frames} * "
-                             f"{self.N}")
+                             f"{self.code.N}")
         every = self.train.checkpoint_every
         if every and self.train.epochs // every > MAX_SNAPSHOTS:
             raise UsageError(f"train.epochs // train.checkpoint_every must be at "
@@ -114,22 +118,17 @@ class Settings:
                              f"{every}")
 
 
-_CODE_KEYS = ("N", "K")
-_TOP_KEYS = ("code", "arch", "train", "eval", "out", "seed")
-
-
-def _check_keys(mapping, allowed, where):
-    if not isinstance(mapping, dict):
-        raise UsageError(f"config section {where!r} must be an object")
-    unknown = sorted(set(mapping) - set(allowed))
-    if unknown:
-        raise UsageError(f"unknown config key(s) in {where}: {', '.join(unknown)}")
+# fields a config may not set: the seed is top-level only
+_NOT_IN_CONFIG = {(TrainConfig, "seed")}
 
 
 def _typed(value, kind, key):
-    """A config value checked against ``kind``: ``str``, ``int`` (not a
-    bool), ``float`` (any finite number, returned as a float) or ``tuple``
-    (a non-empty list of finite numbers, returned as a tuple of floats)."""
+    """A config value checked against ``kind``: a dataclass (a section),
+    ``str``, ``int`` (not a bool), ``float`` (any finite number, returned as
+    a float) or ``tuple`` (a non-empty list of finite numbers, returned as a
+    tuple of floats)."""
+    if dataclasses.is_dataclass(kind):
+        return _section(value, key, kind)
     if kind is tuple:
         if not isinstance(value, list) or not value:
             raise UsageError(f"config key {key} must be a non-empty list of numbers")
@@ -147,12 +146,18 @@ def _typed(value, kind, key):
     return value
 
 
-def _section(section, name, cls, skip=()):
+def _section(section, name, cls):
     """``cls`` built from config section ``name``: its keys are the fields of
-    ``cls`` less ``skip``, each typed by the field's annotation."""
-    kinds = {f.name: f.type for f in dataclasses.fields(cls) if f.name not in skip}
-    _check_keys(section, kinds, name)
-    kwargs = {key: _typed(value, kinds[key], f"{name}.{key}")
+    ``cls`` a config may set, each typed by the field's annotation."""
+    if not isinstance(section, dict):
+        raise UsageError(f"config section {name!r} must be an object")
+    kinds = {f.name: f.type for f in dataclasses.fields(cls)
+             if (cls, f.name) not in _NOT_IN_CONFIG}
+    unknown = sorted(set(section) - set(kinds))
+    if unknown:
+        raise UsageError(f"unknown config key(s) in {name}: {', '.join(unknown)}")
+    prefix = "" if cls is Settings else f"{name}."
+    kwargs = {key: _typed(value, kinds[key], prefix + key)
               for key, value in section.items()}
     try:
         return cls(**kwargs)
@@ -165,26 +170,12 @@ def load_config(path):
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except OSError as exc:
-        raise UsageError(f"cannot read config {path}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise UsageError(f"config {path} is not valid JSON: {exc}") from exc
-    _check_keys(raw, _TOP_KEYS, "top level")
-    kinds = {f.name: f.type for f in dataclasses.fields(Settings)}
-    values = {}
-    if "code" in raw:
-        _check_keys(raw["code"], _CODE_KEYS, "code")
-        values.update({key: _typed(value, kinds[key], f"code.{key}")
-                       for key, value in raw["code"].items()})
-    for key in ("arch", "out", "seed"):
-        if key in raw:
-            values[key] = _typed(raw[key], kinds[key], key)
-    if "train" in raw:
-        # the seed is top-level only
-        values["train"] = _section(raw["train"], "train", TrainConfig, skip=("seed",))
-    if "eval" in raw:
-        values["eval"] = _section(raw["eval"], "eval", EvalSettings)
-    return Settings(**values)
+    except (OSError, ValueError) as exc:
+        # ValueError: a NUL byte in the path
+        raise UsageError(f"cannot read config {path!r}: {exc}") from exc
+    return _section(raw, "top level", Settings)
 
 
 def _settings_from_args(args):
@@ -193,7 +184,7 @@ def _settings_from_args(args):
     settings = replace(settings, **{key: getattr(args, key) for key in ("out", "seed")
                                     if getattr(args, key) is not None})
     try:
-        code = polar.construct_code(settings.N, settings.K)
+        code = polar.construct_code(settings.code.N, settings.code.K)
     except ValueError as exc:
         raise UsageError(f"bad code: {exc}") from exc
     points = [("train.train_ebn0_db", settings.train.train_ebn0_db),
@@ -213,6 +204,7 @@ def _resolve_spec(arch, code=None):
     try:
         spec = (parse_arch_name(arch) if code is None
                 else parse_arch_name(arch, code.N, code.K))
+        polar.check_block_length(spec.N)
     except ValueError as exc:
         raise UsageError(f"bad architecture name {arch!r}: {exc}; family is "
                          f"one of {FAMILIES} and variant one of {VARIANTS}") from exc

@@ -79,9 +79,10 @@ def _read_only(a):
     return a
 
 
-def _check_block_length(N):
-    if N < 1 or (N & (N - 1)) != 0:
-        raise ValueError(f"block length must be a power of two, got {N}")
+def check_block_length(N):
+    """Raise ``ValueError`` unless ``N`` is a power of two."""
+    if N < 1 or N & (N - 1):
+        raise ValueError(f"block length N must be a power of two, got {N}")
 
 
 @functools.cache
@@ -90,7 +91,7 @@ def bit_reversal_permutation(N):
 
     Built once per ``N``; every call returns the same read-only array.
     """
-    _check_block_length(N)
+    check_block_length(N)
     perm = np.zeros(1, dtype=np.int64)
     while len(perm) < N:
         # a new top address bit of i becomes the lowest bit of its reversal
@@ -104,7 +105,7 @@ def bhattacharyya_bounds(N):
     Starts from 0.5 at the root and doubles with ``z -> (2z - z^2, z^2)``;
     smaller means more reliable.
     """
-    _check_block_length(N)
+    check_block_length(N)
     z = np.array([0.5])
     while len(z) < N:
         nxt = np.empty(2 * len(z))
@@ -130,7 +131,7 @@ def construct_code(N, K):
     -------
     PolarCode
     """
-    _check_block_length(N)
+    check_block_length(N)
     if not 1 <= K <= N:
         raise ValueError(f"need 1 <= K <= N, got K={K}, N={N}")
     z = bhattacharyya_bounds(N)
@@ -223,10 +224,11 @@ def awgn_channel(symbols, sigma, rng):
 
 
 def channel_llr(y, sigma):
-    """LLRs of BPSK symbols observed through AWGN with deviation ``sigma``."""
+    """BPSK LLRs through AWGN of deviation ``sigma``; an overflow is infinite."""
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    return 2.0 * np.asarray(y, dtype=np.float64) / (sigma * sigma)
+    with np.errstate(over="ignore"):
+        return 2.0 * np.asarray(y, dtype=np.float64) / (sigma * sigma)
 
 
 def _boxplus(a, b):
@@ -263,8 +265,9 @@ def _sc_node_decode(node, llr):
         return np.zeros(llr.shape, dtype=np.int64)
     if kind == REP:
         # every g above the free leaf is b + a, added in SC's order
-        while llr.shape[1] > 1:
-            llr = llr[:, llr.shape[1] // 2:] + llr[:, :llr.shape[1] // 2]
+        with np.errstate(invalid="ignore"):
+            while llr.shape[1] > 1:
+                llr = llr[:, llr.shape[1] // 2:] + llr[:, :llr.shape[1] // 2]
         return np.repeat((llr < 0).astype(np.int64), size, axis=1)
     if kind == RATE1:
         x = (llr < 0).astype(np.int64)
@@ -278,7 +281,10 @@ def _sc_node_decode(node, llr):
         return x
     half = size // 2
     x_left = _sc_node_decode(node[2], _boxplus(llr[:, :half], llr[:, half:]))
-    x_right = _sc_node_decode(node[3], llr[:, half:] + (1 - 2 * x_left) * llr[:, :half])
+    # opposite infinities add to NaN in g, which SC decides as bit 0, as a tie
+    with np.errstate(invalid="ignore"):
+        llr_right = llr[:, half:] + (1 - 2 * x_left) * llr[:, :half]
+    x_right = _sc_node_decode(node[3], llr_right)
     return np.concatenate([x_left ^ x_right, x_right], axis=1)
 
 

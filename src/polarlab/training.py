@@ -174,10 +174,11 @@ def load_checkpoint(path):
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except OSError as exc:
-        raise error(f"cannot read: {exc}") from None
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise error(f"not valid JSON: {exc}") from None
+    except (OSError, ValueError) as exc:
+        # ValueError: a NUL byte in the path
+        raise error(f"cannot read: {exc}") from None
 
     if not isinstance(doc, dict):
         raise error("not a JSON object")

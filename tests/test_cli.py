@@ -1,8 +1,12 @@
 """End-to-end tests for the command line front end."""
 
+import copy
 import dataclasses
 import json
+import os
 import re
+import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -202,6 +206,46 @@ def test_load_config_any_json_gives_settings_or_usage_error(tmp_path_factory, do
         pass
 
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _valid_settings(draw):
+    """Any Settings a config may give: every field drawn from its valid
+    range, the train seed left at its default."""
+    m = draw(st.integers(1, 10))
+    epochs = draw(st.integers(1, 2 ** 16))
+    train = TrainConfig(
+        batch_size=draw(st.integers(1, 2 ** 20)), epochs=epochs,
+        train_ebn0_db=draw(_FINITE), lr=draw(st.floats(1e-9, 1e3)),
+        beta1=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        beta2=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        eps=draw(st.floats(1e-300, 1e3)), log_every=draw(st.integers(1, 2 ** 20)),
+        checkpoint_every=draw(st.integers(0, epochs)))
+    evaluation = cli.EvalSettings(
+        ebn0_db=tuple(draw(st.lists(_FINITE, min_size=1, max_size=4))),
+        min_bit_errors=draw(st.integers(0, 2 ** 40)),
+        max_frames=draw(st.integers(1, 2 ** 40)), frames=draw(st.integers(1, 2 ** 40)),
+        bins=draw(st.integers(10, cli.MAX_BINS)), pdf_ebn0_db=draw(_FINITE),
+        batch=draw(st.integers(1, 2 ** 20)),
+        bench_frames=draw(st.integers(1, cli.MAX_BENCH_SYMBOLS >> m)))
+    return cli.Settings(code=cli.CodeSettings(N=2 ** m, K=draw(st.integers(1, 2 ** m))),
+                        arch=draw(st.text(max_size=12)), train=train, eval=evaluation,
+                        out=draw(st.text(max_size=12)), seed=draw(st.integers(0, 2 ** 64)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(expected=_valid_settings())
+def test_settings_round_trip_through_a_config(tmp_path_factory, expected):
+    doc = dataclasses.asdict(expected)
+    # a run's train seed is its top-level seed; no config sets it
+    del doc["train"]["seed"]
+    path = tmp_path_factory.getbasetemp() / "round_trip_config.json"
+    path.write_text(json.dumps(doc))
+    # repr tells -0.0 from 0.0 and 1 from 1.0, which == does not
+    assert repr(cli.load_config(str(path))) == repr(expected)
+
+
 def test_config_invalid_json(tmp_path, capsys):
     path = tmp_path / "config.json"
     # nested deep enough that the JSON decoder raises RecursionError; bytes
@@ -397,6 +441,12 @@ _BAD_INPUT = {
     "train.snapshots-2^40": ("train", {"train": {"epochs": 2 ** 40,
                                                  "checkpoint_every": 1}},
                              [], None, r"checkpoint_every must be at most 65536"),
+    # open() raises ValueError, not OSError, for a NUL byte in a path; the
+    # last --config given is the one read
+    "config-nul": ("train", {}, ["--config", "a\u0000b.json"], None,
+                   r"cannot read config 'a\\x00b\.json'"),
+    "checkpoint-nul": ("ber", {}, ["a\u0000b.json"], None,
+                       r"checkpoint a\x00b\.json: cannot read"),
 }
 
 
@@ -533,3 +583,109 @@ def test_negative_seed_rejected(tmp_path):
                "--seed", "-3") == 2
     cfg_bad = write_config(tmp_path, seed=-1)
     assert run("train", "--config", cfg_bad, "--out", str(tmp_path / "y")) == 2
+
+
+# ---------------------------------------------------------------- argv fuzz
+
+# Every command this config makes finishes in well under a second.
+_TINY = {"code": {"N": 8, "K": 4}, "arch": "mlp-rnnd",
+         "train": {"batch_size": 8, "epochs": 1},
+         "eval": {"ebn0_db": [0.0], "min_bit_errors": 10, "max_frames": 256,
+                  "frames": 64, "bins": 10, "batch": 8, "bench_frames": 4},
+         "seed": 1}
+_SMALL_INTS = [-1, 0, 1, 2]
+_VALUES = st.sampled_from(_SMALL_INTS + [-2 ** 70, 2 ** 70, 1.5, "", "a\u0000b", "x",
+                                         "rnn-nnd", "cnn-rnnd", "mlp-rnnd-16-8",
+                                         None, True, [], {}])
+# kept, or set to a small int: a valid huge value of these trains or
+# simulates that long, or overflows the weights (lr), and so would their
+# defaults (2^16 epochs, 10^6 frames)
+_COSTLY = {("train",), ("eval",), ("train", "epochs"), ("train", "lr"),
+           ("eval", "frames"), ("eval", "max_frames")}
+_KEYS = ([(key,) for key in [*_TINY, "junk"]]
+         + [(key, sub) for key in ("code", "train", "eval")
+            for sub in [*_TINY[key], "junk"]])
+
+
+@st.composite
+def _tiny_configs(draw):
+    """``_TINY``, or ``_TINY`` with one key, known or not, dropped or set."""
+    doc = copy.deepcopy(_TINY)
+    op = draw(st.sampled_from(["keep", "keep", "drop", "set"]))
+    if op != "keep":
+        path = draw(st.sampled_from(_KEYS))
+        node = doc[path[0]] if len(path) == 2 else doc
+        if path in _COSTLY:
+            node[path[-1]] = draw(st.sampled_from(_SMALL_INTS))
+        elif op == "drop":
+            node.pop(path[-1], None)
+        else:
+            node[path[-1]] = copy.deepcopy(draw(_VALUES))
+    return doc
+
+
+_FLAG_VALUES = st.sampled_from(["1", "2", str(2 ** 70), "-1", "0", str(-2 ** 70),
+                                "1.5", "", "a\u0000b"])
+_ARCHS = st.sampled_from(["mlp-rnnd", "rnn-nnd-8-4", "mlp-rnnd-12-8", "cnn-nnd-16-8",
+                          f"mlp-rnnd-{2 ** 70}-8", "mlp-rnnd-16", "", "a\u0000b"])
+
+
+@st.composite
+def _argvs(draw, config, checkpoints):
+    """A command line: a subcommand, its flags with any values, and its
+    positional arguments, sometimes with one too few or too many."""
+    command = draw(st.sampled_from(["train", "ber", "snr", "pdf", "bench", "params"]))
+    argv = [command]
+    if command == "params":
+        argv += draw(st.lists(_ARCHS, max_size=2))
+    else:
+        # always a config: the default one trains 2^16 epochs
+        argv += ["--config", draw(st.sampled_from(
+            [config] * 6 + ["missing.json", "a\u0000b.json", "", checkpoints[-1]]))]
+        if draw(st.booleans()):
+            argv += ["--out", draw(st.sampled_from(["o", "o/p", "", "a\u0000b"]))]
+        if draw(st.booleans()):
+            argv += ["--seed", draw(_FLAG_VALUES)]
+        if draw(st.booleans()):
+            argv.append("--force")
+        if command == "ber" and draw(st.booleans()):
+            argv += ["--workers", draw(_FLAG_VALUES)]
+        want = {"train": 0, "snr": 1, "pdf": 1}.get(command) or draw(st.integers(0, 2))
+        argv += draw(st.lists(st.sampled_from(checkpoints[:2] * 4 + checkpoints[2:]),
+                              min_size=max(0, want - 1), max_size=want + 1))
+    stray = draw(st.sampled_from([None] * 8 + ["--bogus", "-h"]))
+    if stray:
+        argv.insert(draw(st.integers(0, len(argv))), stray)
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_any_command_line_exits_0_2_or_3_and_2_writes_nothing(
+        tmp_path_factory, trained, trained_nnd, data):
+    files = tmp_path_factory.getbasetemp() / "argv_fuzz"
+    files.mkdir(exist_ok=True)
+    damaged = files / "damaged.json"
+    damaged.write_text('{"format_version": 2}')
+    config = files / "config.json"
+    config.write_text(json.dumps(data.draw(_tiny_configs(), label="config")))
+    # a valid rnnd and nnd checkpoint, a damaged one, a missing one, a directory
+    checkpoints = [trained[1], trained_nnd, str(damaged), str(files / "missing.json"),
+                   str(files)]
+    argv = data.draw(_argvs(str(config), checkpoints), label="argv")
+    fresh = tempfile.mkdtemp(dir=files)
+    cwd = os.getcwd()
+    os.chdir(fresh)
+    try:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            # argparse: 0 after --help, 2 for an argument it refuses
+            assert exc.code in (0, 2)
+            code = exc.code
+        assert code in (0, 2, 3)
+        if code == 2:
+            assert os.listdir(fresh) == []
+    finally:
+        os.chdir(cwd)
+        shutil.rmtree(fresh)

@@ -3,6 +3,7 @@
 import dataclasses
 import os
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -516,6 +517,47 @@ def test_csv_reader_names_file_and_line(tmp_path, text, where):
     path.write_bytes(text.encode(errors="surrogateescape"))
     with pytest.raises(ValueError, match=f"ber.csv, {where}"):
         ev.read_rows(path, ev.BerRow)
+
+
+_BER_CSV = (BER_HEAD + "sc,0.0,2048,77,0.004699707031250\r\n"
+            "mlp-rnnd-16-8,2.5,4096,0,0.0\r\n").encode()
+
+
+@st.composite
+def _damaged_csvs(draw):
+    """The bytes of a valid ber.csv, truncated, or with a few bytes cut,
+    inserted or overwritten."""
+    data = bytearray(_BER_CSV)
+    chunks = st.text(min_size=1, max_size=3).map(str.encode) | st.sampled_from(
+        [b",", b"\r\n", b"\r", b"\n", b'"', b"\x00", b"\xff", b"\xc3", b"-",
+         b"nan", b"1e999", b"_", b"9" * 5000])
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(["truncate", "cut", "insert", "overwrite"]))
+        # mostly in the rows, since any edit of the header fails the same way
+        at = draw(st.integers(min(len(BER_HEAD), len(data)), len(data))
+                  | st.integers(0, len(data)))
+        if op == "truncate":
+            del data[at:]
+        elif op == "cut":
+            del data[at:at + draw(st.integers(1, 8))]
+        else:
+            chunk = draw(chunks)
+            data[at:at + (len(chunk) if op == "overwrite" else 0)] = chunk
+    return bytes(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_damaged_csvs())
+def test_damaged_csv_raises_only_value_error_naming_file_and_line(tmp_path_factory,
+                                                                  data):
+    path = tmp_path_factory.getbasetemp() / "fuzz_ber.csv"
+    path.write_bytes(data)
+    try:
+        rows = ev.read_rows(path, ev.BerRow)
+    except ValueError as exc:
+        assert re.match(rf"{re.escape(str(path))}, line [1-9][0-9]*: ", str(exc))
+    else:
+        assert all(isinstance(r, ev.BerRow) for r in rows)
 
 
 def test_csv_bytes_golden(tmp_path):

@@ -423,6 +423,8 @@ def _sc_reference(llr, frozen):
     Returns ``(u_hat, x_hat)`` where ``x_hat`` is the re-encoding of
     ``u_hat`` under the butterfly (no output permutation). Its f-rule is
     ``polar._boxplus``, so equal decisions mean equal bits, not near ones.
+    Like the decoder, its g-step adds opposite infinities to NaN, which
+    decides bit 0.
     """
     M = llr.shape[1]
     if M == 1:
@@ -435,7 +437,8 @@ def _sc_reference(llr, frozen):
     half = M // 2
     u_left, x_left = _sc_reference(polar._boxplus(llr[:, :half], llr[:, half:]),
                                    frozen[:half])
-    llr_right = llr[:, half:] + (1 - 2 * x_left) * llr[:, :half]
+    with np.errstate(invalid="ignore"):
+        llr_right = llr[:, half:] + (1 - 2 * x_left) * llr[:, :half]
     u_right, x_right = _sc_reference(llr_right, frozen[half:])
     return (np.concatenate([u_left, u_right], axis=1),
             np.concatenate([x_left ^ x_right, x_right], axis=1))
@@ -484,6 +487,9 @@ def _llr_batches(draw):
 # ROADMAP's case: N = 2, y = (0, -1) at sigma 1. A hard decision of the
 # rate-1 root gives u = (1, 1); SC gives (0, 1).
 @example(case=(construct_code(2, 2), np.array([[0.0, -2.0]])))
+# opposite infinities meet in the repetition node's sum and the oracle's
+# g-step: both give NaN, decided as bit 0
+@example(case=(construct_code(2, 1), np.array([[np.inf, -np.inf]])))
 def test_pruned_sc_matches_reference_recursion(case):
     code, llr = case
     u_ref, x_ref = _sc_reference(llr, code.frozen_mask)
@@ -529,6 +535,13 @@ def test_sc_rate1_tie_decides_as_sc():
     # u_1 = 1; the rate-1 root's hard decision x = (0, 1) would give u = (1, 1)
     np.testing.assert_array_equal(
         sc_decode(construct_code(2, 2), np.array([0.0, -1.0]), 1.0), [0, 1])
+
+
+def test_sc_opposite_infinite_llrs_decide_bit_0():
+    # finite symbols whose LLRs overflow to +-inf: their repetition sum is
+    # NaN, decided as bit 0 without a warning
+    got = sc_decode_batch(construct_code(2, 1), [[1e308, -1e308]], 0.5)
+    np.testing.assert_array_equal(got, [[0]])
 
 
 def test_pruned_sc_16_8_calls_boxplus_three_times(monkeypatch):

@@ -1,9 +1,12 @@
 """Training-loop and checkpoint tests."""
 
+import copy
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polarlab.evaluation import read_rows, write_rows
 from polarlab.models import ModelSpec, build
@@ -372,6 +375,61 @@ def test_checkpoint_rejects_duplicate_tensor(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(CheckpointError, match="repeated name"):
         load_checkpoint(path)
+
+
+def _json_paths(node, path=()):
+    """Every path into a JSON document; of a list, only its first two
+    items, so a tensor's values do not crowd out the other keys."""
+    yield path
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node[:2]) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _json_paths(child, path + (key,))
+
+
+# what a mutation writes in place of a value: another type, a shape, a
+# huge or a non-finite number
+_MUTANTS = st.sampled_from([None, True, "x", 1.5, -1, 0, [], {}, [1], {"a": 1},
+                            10 ** 400, -10 ** 400, 2 ** 64, 1e308,
+                            float("nan"), float("inf"), -float("inf")])
+_SHAPES = st.lists(st.integers(-2, 2 ** 64), max_size=3)
+_FUZZ_SPEC = ModelSpec(family="mlp", variant="rnnd", N=8, K=4, mlp_hidden=(4,))
+
+
+@st.composite
+def _damaged_checkpoints(draw):
+    """The text of a small valid checkpoint with keys dropped or retyped,
+    shapes or values changed, or its bytes truncated."""
+    doc = {"format_version": 2, "spec": dataclasses.asdict(_FUZZ_SPEC),
+           "seed": 3, "epoch": 1,
+           "tensors": [{"name": name, "shape": list(p.value.shape),
+                        "values": p.value.reshape(-1).tolist()}
+                       for name, p in build(_FUZZ_SPEC, seed=3).named_params()]}
+    for _ in range(draw(st.integers(0, 3))):
+        *parents, last = draw(st.sampled_from(list(_json_paths(doc))[1:]))
+        node = doc
+        for key in parents:
+            node = node[key]
+        if draw(st.booleans()):
+            del node[last]
+        else:
+            # a copy: a later mutation may edit inside it
+            node[last] = copy.deepcopy(draw(_SHAPES if last == "shape" else _MUTANTS))
+    text = json.dumps(doc)
+    return text[:draw(st.integers(0, len(text)))] if draw(st.booleans()) else text
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_damaged_checkpoints())
+def test_damaged_checkpoint_raises_only_checkpoint_error(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz_checkpoint.json"
+    path.write_text(text)
+    try:
+        model, meta = load_checkpoint(path)
+    except CheckpointError as exc:
+        assert str(path) in str(exc)
+    else:
+        assert meta.spec == model.spec
 
 
 # ------------------------------------------------------------------- trace CSV
