@@ -1,0 +1,137 @@
+"""Run the benchmark on a parent revision and on this working tree, in pairs.
+
+    python scripts/pairs.py PARENT_REV --workload W --pairs N --seed S \\
+        [--label L]
+
+It extracts two ``git archive`` copies into a temporary directory: one of
+the revision PARENT_REV and one of the working tree as it is now, staged
+and unstaged edits and untracked files included (through a temporary git
+index, so the real index is not touched). Pair ``i`` runs
+``perfbench/run.py --workload W --seed S+i`` in each copy, for the
+``run_seconds`` that ``BENCHMARK.json`` declares, the parent first in even
+pairs and the change first in odd ones.
+
+It writes ``BENCH_<L>.json`` at the root of the checkout (L defaults to
+PARENT_REV). The file holds one entry per workload, so runs of other
+workloads under the same label are kept. An entry has every run's
+fingerprint, ``correct`` flag and failed/attempted counts and metrics, and,
+for each end-to-end metric of ``BENCHMARK.json``, the parent's and the
+change's median and quartiles, the ratio of the medians, the metric's
+bound, and the number of pairs the change won (ties count for neither).
+"""
+
+import argparse
+import io
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _git(*args, env=None):
+    return subprocess.run(["git", "-C", str(ROOT), *args], env=env,
+                          stdout=subprocess.PIPE, check=True).stdout
+
+
+def _working_tree(tmp):
+    """A tree object of the working tree, built in a throwaway index."""
+    env = dict(os.environ, GIT_INDEX_FILE=str(tmp / "index"))
+    _git("read-tree", "HEAD", env=env)
+    _git("add", "-A", env=env)
+    return _git("write-tree", env=env).decode().strip()
+
+
+def _extract(tree_ish, dest):
+    archive = _git("archive", "--format=tar", tree_ish)
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def _run(checkout, workload, seed, seconds):
+    """One benchmark run in ``checkout``: its fingerprint and final JSON line."""
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds)],
+        cwd=checkout, stdout=subprocess.PIPE, text=True, check=True)
+    lines = done.stdout.splitlines()
+    fingerprint = next(json.loads(line.split(" ", 1)[1]) for line in lines
+                       if line.startswith("fingerprint "))
+    return {"fingerprint": fingerprint, **json.loads(lines[-1])}
+
+
+def _quartiles(values):
+    if len(values) == 1:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summarize(runs, declared):
+    """Per end-to-end metric: each side's median and quartiles, the ratio of
+    the medians, the bound, and the change's wins over the pairs."""
+    out = {}
+    for metric in declared:
+        name, lower = metric["name"], metric["better"] == "lower"
+        sides = {side: [run["metrics"].get(name, {}).get("value") for run in runs[side]]
+                 for side in ("parent", "change")}
+        if any(v is None for values in sides.values() for v in values):
+            continue
+        wins = sum((c < p) if lower else (c > p)
+                   for p, c in zip(sides["parent"], sides["change"]))
+        parent, change = _quartiles(sides["parent"]), _quartiles(sides["change"])
+        out[name] = {"unit": metric["unit"], "better": metric["better"],
+                     "bound": metric["bound"], "parent": parent, "change": change,
+                     "ratio": change["median"] / parent["median"],
+                     "change_wins": wins, "pairs": len(sides["parent"])}
+    return out
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", metavar="PARENT_REV")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--label")
+    args = parser.parse_args()
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
+    out = ROOT / f"BENCH_{args.label or args.parent}.json"
+    runs = {"parent": [], "change": []}
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        checkouts = {"parent": tmp / "parent", "change": tmp / "change"}
+        _extract(args.parent, checkouts["parent"])
+        _extract(_working_tree(tmp), checkouts["change"])
+        for pair in range(args.pairs):
+            seed = args.seed + pair
+            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+            for side in order:
+                run = _run(checkouts[side], args.workload, seed, seconds)
+                runs[side].append({"pair": pair, "seed": seed,
+                                   "first": side == order[0], **run})
+                print(f"pair {pair} seed {seed} {side}: correct {run['correct']}, "
+                      f"failed {run['failed']}/{run['attempted']}", file=sys.stderr)
+    doc = json.loads(out.read_text()) if out.exists() else {}
+    doc[args.workload] = {
+        "parent_rev": args.parent, "pairs": args.pairs, "seed": args.seed,
+        "seconds": seconds, "summary": summarize(runs, benchmark["end_to_end"]),
+        "runs": runs}
+    out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    for name, s in doc[args.workload]["summary"].items():
+        print(f"{args.workload} {name}: {s['parent']['median']:.6g} -> "
+              f"{s['change']['median']:.6g} (x{s['ratio']:.4f}, bound {s['bound']}), "
+              f"change better in {s['change_wins']} of {s['pairs']}")
+    print(f"wrote {out}")
+
+
+if __name__ == "__main__":
+    main()

@@ -206,8 +206,12 @@ def _resolve_spec(arch, code=None):
                 else parse_arch_name(arch, code.N, code.K))
         polar.check_block_length(spec.N)
     except ValueError as exc:
-        raise UsageError(f"bad architecture name {arch!r}: {exc}; family is "
-                         f"one of {FAMILIES} and variant one of {VARIANTS}") from exc
+        parts = arch.split("-")
+        names_ok = (len(parts) in (2, 4) and parts[0] in FAMILIES
+                    and parts[1] in VARIANTS)
+        hint = "" if names_ok else (f"; family is one of {FAMILIES} and variant "
+                                    f"one of {VARIANTS}")
+        raise UsageError(f"bad architecture name {arch!r}: {exc}{hint}") from exc
     _check_length(spec.N)
     if code is not None and (spec.N, spec.K) != (code.N, code.K):
         raise UsageError(f"arch {arch} does not match code ({code.N}, {code.K})")

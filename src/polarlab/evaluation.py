@@ -12,9 +12,7 @@ are written via ``repr`` and parse back to the identical double.
 import collections
 import contextlib
 import csv
-import ctypes
 import dataclasses
-import functools
 import io
 import multiprocessing
 import os
@@ -26,6 +24,7 @@ from dataclasses import dataclass
 
 from polarlab import polar
 from polarlab.models import hard_decision
+from polarlab.nn import blas_threads
 
 BER_BLOCK_FRAMES = 2048
 
@@ -121,44 +120,6 @@ def _chunks(total, size):
         yield min(size, total - lo)
 
 
-# (restype, argtypes) of the OpenBLAS functions called here
-_OPENBLAS_TYPES = {"get_num_threads": (ctypes.c_int, []),
-                   "set_num_threads": (None, [ctypes.c_int])}
-
-
-@functools.cache
-def _openblas_function(name):
-    """``openblas_<name>`` of the OpenBLAS loaded into this process, under
-    any of the symbol spellings numpy's builds use, typed, or None if none
-    is. Looked up once per process; forked workers inherit the lookup."""
-    try:
-        with open("/proc/self/maps") as fh:
-            libs = sorted({line.split()[-1] for line in fh
-                           if "openblas" in line.lower() and "/" in line})
-    except OSError:
-        return None
-    for path in libs:
-        lib = ctypes.CDLL(path)
-        for symbol in (f"openblas_{name}", f"openblas_{name}64_",
-                       f"scipy_openblas_{name}64_", f"scipy_openblas_{name}"):
-            fn = getattr(lib, symbol, None)
-            if fn is not None:
-                fn.restype, fn.argtypes = _OPENBLAS_TYPES[name]
-                return fn
-    return None
-
-
-def _swap_blas_threads(n):
-    """Set OpenBLAS to ``n`` threads unless it has ``n``; returns the count
-    it had, or None without OpenBLAS. In a fresh fork, any set call starts
-    a server thread, which then busy-waits."""
-    get_threads = _openblas_function("get_num_threads")
-    old = None if get_threads is None else get_threads()
-    if old not in (None, n):
-        _openblas_function("set_num_threads")(n)
-    return old
-
-
 # (decoder, code) of a pool worker, set once by its initializer
 _worker = None
 
@@ -186,15 +147,10 @@ def _make_pool(decoder, code, processes):
     one BLAS thread until the pool is shut down (it forks at its first
     ``submit``), so no worker sets it and starts an OpenBLAS thread that
     busy-waits. The parent's count is restored, also on error."""
-    before = _swap_blas_threads(1)
-    try:
-        with ProcessPoolExecutor(
-                max_workers=processes, mp_context=multiprocessing.get_context("fork"),
-                initializer=_init_worker, initargs=(decoder, code)) as pool:
-            yield pool
-    finally:
-        if before is not None:
-            _swap_blas_threads(before)
+    with blas_threads(1), ProcessPoolExecutor(
+            max_workers=processes, mp_context=multiprocessing.get_context("fork"),
+            initializer=_init_worker, initargs=(decoder, code)) as pool:
+        yield pool
 
 
 def _block_results(decoder, code, sigma, stop, base, point_idx, pool, window):

@@ -20,6 +20,7 @@ from polarlab.nn import (
     ReLU,
     Sequential,
     Sigmoid,
+    blas_threads,
     mse_loss,
     zero_grads,
 )
@@ -249,12 +250,14 @@ class Model:
         """``stack.forward(x)``, whole when ``keep`` is set or the family is
         untiled, else joined from the fewest ``np.array_split`` parts of at
         most ``tile`` rows: for ``tile >= 3`` none is a single frame unless
-        the batch is, as a one-row product goes to gemv and changes the bits."""
+        the batch is, as a one-row product goes to gemv and changes the bits.
+        Tiles run at one BLAS thread, as their gemms are too small to split."""
         tile = INFERENCE_TILE[self.spec.family]
         if keep or tile is None:
             return stack.forward(x, keep)
-        return np.concatenate([stack.forward(part) for part in
-                               np.array_split(x, max(1, -(-len(x) // tile)))])
+        with blas_threads(1):
+            return np.concatenate([stack.forward(part) for part in
+                                   np.array_split(x, max(1, -(-len(x) // tile)))])
 
     def loss(self, y, s_true, u_true, compute_grads=False):
         """Multi-task loss for RNND, decoding loss for NND.

@@ -16,9 +16,16 @@ temporaries when it returns. By default glibc hands that memory back to
 the kernel, and the next block of the same size faults every page of it
 in again: about 15k minor faults a 2048-frame ``cnn-rnnd`` forward, run in
 32 tiles. With the heap kept, warm forwards fault none.
+
+``blas_threads(n)`` runs a block at ``n`` OpenBLAS threads. Training, the
+tiled cnn and rnn forwards and the ``ber`` pool run at one: their gemms are
+too small to split, and a second thread would only busy-wait beside them.
 """
 
+import contextlib
 import ctypes
+import functools
+
 import numpy as np
 from dataclasses import dataclass
 
@@ -56,6 +63,54 @@ def _keep_freed_heap():
 
 # once per process; the ber pool's workers inherit it by fork
 KEEPS_FREED_HEAP = _keep_freed_heap()
+
+# (restype, argtypes) of the OpenBLAS functions called here
+_OPENBLAS_TYPES = {"get_num_threads": (ctypes.c_int, []),
+                   "set_num_threads": (None, [ctypes.c_int])}
+
+
+@functools.cache
+def _openblas_function(name):
+    """``openblas_<name>`` of the OpenBLAS loaded into this process, under
+    any of the symbol spellings numpy's builds use, typed, or None if none
+    is. Looked up once per process; forked workers inherit the lookup."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh
+                           if "openblas" in line.lower() and "/" in line})
+    except OSError:
+        return None
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for symbol in (f"openblas_{name}", f"openblas_{name}64_",
+                       f"scipy_openblas_{name}64_", f"scipy_openblas_{name}"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.restype, fn.argtypes = _OPENBLAS_TYPES[name]
+                return fn
+    return None
+
+
+@contextlib.contextmanager
+def blas_threads(n):
+    """Run the ``with`` block at ``n`` OpenBLAS threads, then restore the
+    count the process had, also on error; without OpenBLAS, do nothing.
+    The count is set only where it differs, on entry and on exit: in a
+    freshly forked process any set call starts a server thread, which then
+    busy-waits."""
+    get_threads = _openblas_function("get_num_threads")
+    set_threads = _openblas_function("set_num_threads")
+    if get_threads is None or set_threads is None:
+        yield
+        return
+    before = get_threads()
+    if before != n:
+        set_threads(n)
+    try:
+        yield
+    finally:
+        if get_threads() != before:
+            set_threads(before)
 
 
 @dataclass
@@ -475,22 +530,63 @@ def mse_loss(pred, target, normalizer):
 
 
 class Adam:
-    """Adam with bias correction; update is ``lr * m_hat / (sqrt(v_hat) + eps)``."""
+    """Adam with bias correction; update is ``lr * m_hat / (sqrt(v_hat) + eps)``.
+
+    The optimizer owns two flat buffers, one of parameter values and one of
+    gradients, each parameter's slice starting on a 64-byte line. It copies
+    every ``Param`` into them and rebinds its ``value`` and ``grad`` to views
+    of its slices, so a step is a few whole-buffer ufunc calls. Layers and
+    ``load_checkpoint`` write parameters in place, so their writes reach the
+    buffers. The update is the per-array one, operation for operation:
+    elementwise IEEE arithmetic does not depend on layout, so the values
+    are the same bits. The padding between slices stays zero.
+    """
+
+    # float64s in a 64-byte line
+    _LINE = 8
 
     def __init__(self, params, lr, beta1, beta2, eps):
-        self._params = list(params)
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.t = 0
-        self._m = [np.zeros_like(p.value) for p in self._params]
-        self._v = [np.zeros_like(p.value) for p in self._params]
+        params = list(params)
+        starts = np.cumsum([0] + [-(-p.value.size // self._LINE) * self._LINE
+                                  for p in params])
+        self._value, self._grad, self._m, self._v = (
+            self._aligned_zeros(int(starts[-1])) for _ in range(4))
+        for p, lo in zip(params, starts):
+            view = slice(lo, lo + p.value.size)
+            self._value[view] = p.value.reshape(-1)
+            self._grad[view] = p.grad.reshape(-1)
+            p.value = self._value[view].reshape(p.value.shape)
+            p.grad = self._grad[view].reshape(p.grad.shape)
+
+    @classmethod
+    def _aligned_zeros(cls, n):
+        """``n`` float64 zeros starting on a 64-byte boundary."""
+        raw = np.zeros(n + cls._LINE - 1)
+        skip = -raw.ctypes.data % (8 * cls._LINE) // 8
+        return raw[skip:skip + n]
 
     def step(self):
         self.t += 1
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
-        for p, m, v in zip(self._params, self._m, self._v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * p.grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * p.grad * p.grad
-            p.value -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+        g, m, v = self._grad, self._m, self._v
+        # scratch for this step only: between steps its memory serves the
+        # layers' temporaries, which keeps a training run's peak lower
+        work, denom = np.empty_like(g), np.empty_like(g)
+        # m = b1 m + (1 - b1) g
+        m *= self.beta1
+        m += np.multiply(1.0 - self.beta1, g, out=work)
+        # v = b2 v + ((1 - b2) g) g
+        v *= self.beta2
+        np.multiply(1.0 - self.beta2, g, out=work)
+        work *= g
+        v += work
+        # value -= (lr (m / b1c)) / (sqrt(v / b2c) + eps)
+        np.divide(m, b1c, out=work)
+        work *= self.lr
+        np.sqrt(np.divide(v, b2c, out=denom), out=denom)
+        denom += self.eps
+        work /= denom
+        self._value -= work

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from polarlab import polar
 from polarlab.models import ModelSpec, build, spec_param_count
-from polarlab.nn import Adam
+from polarlab.nn import Adam, blas_threads
 
 CHECKPOINT_FORMAT_VERSION = 2
 
@@ -109,24 +109,26 @@ def train(model, dataset, config, epoch_callback=None):
                      beta2=config.beta2, eps=config.eps)
     trace = TrainTrace()
     step = 0
-    for epoch in range(1, config.epochs + 1):
-        # consecutive fixed-order batches; the tail batch may be short
-        for lo in range(0, len(dataset.messages), config.batch_size):
-            step += 1
-            s = dataset.symbols[lo:lo + config.batch_size]
-            u = dataset.messages[lo:lo + config.batch_size]
-            y = polar.awgn_channel(s, sigma, rng)
-            values = model.loss(y, s, u, compute_grads=True)
-            if not np.isfinite(values.total):
-                raise TrainingDiverged(f"training diverged: non-finite loss "
-                                       f"{values.total} at epoch {epoch} step {step}")
-            optimizer.step()
-            if step % config.log_every == 0:
-                trace.rows.append(TraceRow(epoch, step, values.total,
-                                           values.denoise, values.decode))
-        if (epoch_callback is not None and config.checkpoint_every
-                and epoch % config.checkpoint_every == 0):
-            epoch_callback(model, epoch)
+    # a training batch's gemms are too small to gain from a second BLAS thread
+    with blas_threads(1):
+        for epoch in range(1, config.epochs + 1):
+            # consecutive fixed-order batches; the tail batch may be short
+            for lo in range(0, len(dataset.messages), config.batch_size):
+                step += 1
+                s = dataset.symbols[lo:lo + config.batch_size]
+                u = dataset.messages[lo:lo + config.batch_size]
+                y = polar.awgn_channel(s, sigma, rng)
+                values = model.loss(y, s, u, compute_grads=True)
+                if not np.isfinite(values.total):
+                    raise TrainingDiverged(f"training diverged: non-finite loss "
+                                           f"{values.total} at epoch {epoch} step {step}")
+                optimizer.step()
+                if step % config.log_every == 0:
+                    trace.rows.append(TraceRow(epoch, step, values.total,
+                                               values.denoise, values.decode))
+            if (epoch_callback is not None and config.checkpoint_every
+                    and epoch % config.checkpoint_every == 0):
+                epoch_callback(model, epoch)
     return trace
 
 

@@ -1,7 +1,9 @@
 """End-to-end tests for the command line front end."""
 
+import contextlib
 import copy
 import dataclasses
+import io
 import json
 import os
 import re
@@ -548,6 +550,20 @@ def test_params_bad_arch_lists_valid_names(capsys):
     assert "mlp" in err and "rnnd" in err
 
 
+@pytest.mark.parametrize("arch,hint", [
+    ("mlp-rnnd-16", True),          # the name does not split
+    ("transformer-rnnd", True),     # unknown family
+    ("mlp-foo-16-8", True),         # unknown variant
+    ("mlp-rnnd-12-8", False),       # N not a power of two
+    ("mlp-rnnd-16-32", False),      # K > N
+])
+def test_params_names_families_only_for_a_bad_name(capsys, arch, hint):
+    assert run("params", arch) == 2
+    err = capsys.readouterr().err
+    assert f"bad architecture name {arch!r}" in err
+    assert ("family is one of" in err) == hint
+
+
 def test_params_refuses_oversized_code_before_building(tmp_path, capsys,
                                                        monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -676,9 +692,11 @@ def test_any_command_line_exits_0_2_or_3_and_2_writes_nothing(
     fresh = tempfile.mkdtemp(dir=files)
     cwd = os.getcwd()
     os.chdir(fresh)
+    err = io.StringIO()
     try:
         try:
-            code = cli.main(argv)
+            with contextlib.redirect_stderr(err):
+                code = cli.main(argv)
         except SystemExit as exc:
             # argparse: 0 after --help, 2 for an argument it refuses
             assert exc.code in (0, 2)
@@ -686,6 +704,13 @@ def test_any_command_line_exits_0_2_or_3_and_2_writes_nothing(
         assert code in (0, 2, 3)
         if code == 2:
             assert os.listdir(fresh) == []
+        if code == 3:
+            # a drawn lr can make training diverge; any other exit 3 is a
+            # usage error that escaped as a runtime failure
+            errors = [line for line in err.getvalue().splitlines()
+                      if line.startswith("polarlab: error: ")]
+            assert errors and errors[-1].startswith(
+                "polarlab: error: training diverged:"), err.getvalue()
     finally:
         os.chdir(cwd)
         shutil.rmtree(fresh)

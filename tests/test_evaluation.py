@@ -10,11 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polarlab import evaluation as ev
+from polarlab import nn
 from polarlab import polar
 from polarlab.cli import EvalSettings
 from polarlab.models import ModelSpec, build
 from polarlab.nn import zero_grads
-from polarlab.training import TraceRow
+from polarlab.training import (
+    TraceRow, TrainConfig, TrainingDiverged, gen_dataset, train)
 
 CODE = polar.construct_code(16, 8)
 # the CLI's default stop rule
@@ -182,7 +184,7 @@ def test_ber_pool_capped_at_usable_cpus(monkeypatch):
 
 
 def blas_threads():
-    return ev._openblas_function("get_num_threads")()
+    return nn._openblas_function("get_num_threads")()
 
 
 def process_threads():
@@ -198,11 +200,10 @@ def process_threads():
 def two_blas_threads():
     """The parent at two BLAS threads, so a change of its count shows;
     its own count is put back afterwards."""
-    if ev._openblas_function("get_num_threads") is None:
+    if nn._openblas_function("get_num_threads") is None:
         pytest.skip("numpy has no OpenBLAS thread controls here")
-    before = ev._swap_blas_threads(2)
-    yield
-    ev._swap_blas_threads(before)
+    with nn.blas_threads(2):
+        yield
 
 
 def test_ber_pool_workers_run_one_blas_thread(two_blas_threads):
@@ -231,6 +232,100 @@ def test_ber_pool_parent_blas_threads_restored_on_error(two_blas_threads,
                     rng=np.random.default_rng(0), workers=2)
     # one thread while the pool would fork, the old count after
     assert seen == [1]
+    assert blas_threads() == 2
+
+
+# the counts passed to OpenBLAS's set call while ``set_calls`` is in use;
+# a forked pool worker has its own copy
+_SET_CALLS = []
+
+
+@pytest.fixture
+def set_calls(monkeypatch):
+    """Records every count ``nn.blas_threads`` sets, and sets it."""
+    lookup = nn._openblas_function
+
+    def spy(name):
+        fn = lookup(name)
+        if name != "set_num_threads" or fn is None:
+            return fn
+        return lambda n: (_SET_CALLS.append(n), fn(n))
+
+    _SET_CALLS.clear()
+    monkeypatch.setattr(nn, "_openblas_function", spy)
+    yield _SET_CALLS
+    _SET_CALLS.clear()
+
+
+def test_training_runs_at_one_blas_thread_and_restores_it(two_blas_threads):
+    spec = ModelSpec("mlp", "rnnd", N=8, K=4, mlp_hidden=(16, 8))
+    dataset = gen_dataset(polar.construct_code(8, 4))
+    seen = []
+    train(build(spec, seed=1), dataset, TrainConfig(epochs=2, seed=1, checkpoint_every=1),
+          epoch_callback=lambda model, epoch: seen.append(blas_threads()))
+    assert seen == [1, 1]
+    assert blas_threads() == 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TrainingDiverged):
+            train(build(spec, seed=1), dataset, TrainConfig(epochs=50, lr=1e300, seed=1))
+    assert blas_threads() == 2
+
+
+def _spy_forward(monkeypatch, cls, seen, fail=False):
+    """Make ``cls.forward`` record the BLAS thread count, or raise."""
+    forward = cls.forward
+
+    def spy(self, x, keep=False):
+        seen.append(blas_threads())
+        if fail:
+            raise RuntimeError("forward failed")
+        return forward(self, x, keep)
+
+    monkeypatch.setattr(cls, "forward", spy)
+
+
+@pytest.mark.parametrize("family,layer", [("cnn", nn.Conv1D), ("rnn", nn.LSTM)])
+def test_tiled_forward_runs_at_one_blas_thread_and_restores_it(
+        two_blas_threads, monkeypatch, family, layer):
+    model = build(ModelSpec(family, "rnnd", N=16, K=8), seed=0)
+    y = np.random.default_rng(0).standard_normal((300, 16))
+    seen = []
+    _spy_forward(monkeypatch, layer, seen)
+    model.forward(y)
+    assert len(seen) > 2 and set(seen) == {1}
+    assert blas_threads() == 2
+    _spy_forward(monkeypatch, layer, seen, fail=True)
+    with pytest.raises(RuntimeError, match="forward failed"):
+        model.forward(y)
+    assert blas_threads() == 2
+
+
+def test_mlp_forward_keeps_the_blas_threads(two_blas_threads, monkeypatch, set_calls):
+    model = build(ModelSpec("mlp", "rnnd", N=16, K=8), seed=0)
+    seen = []
+    _spy_forward(monkeypatch, nn.Affine, seen)
+    model.forward(np.random.default_rng(0).standard_normal((ev.BER_BLOCK_FRAMES, 16)))
+    assert len(seen) == 8 and set(seen) == {2}
+    assert set_calls == []
+
+
+def _decode_in_worker():
+    """In a pool worker: the set calls one tiled decode makes, then the
+    worker's (OS threads, BLAS threads)."""
+    before = len(_SET_CALLS)
+    decoder, code = ev._worker
+    decoder.decode(np.random.default_rng(0).standard_normal((300, code.N)), 0.8)
+    return _SET_CALLS[before:], process_threads()
+
+
+def test_pool_worker_decodes_with_no_blas_set_call(two_blas_threads, set_calls):
+    decoder = ev.ModelDecoder(build(ModelSpec("cnn", "rnnd", N=16, K=8), seed=0))
+    with ev._make_pool(decoder, CODE, 1) as pool:
+        calls, (threads, blas) = pool.submit(_decode_in_worker).result(timeout=60)
+    assert calls == []
+    assert blas == 1 and threads in (1, None)
+    # the parent's own calls: one thread for the pool, its count after
+    assert set_calls == [1, 2]
     assert blas_threads() == 2
 
 

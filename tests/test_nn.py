@@ -587,6 +587,86 @@ def test_adam_deterministic_trajectories():
     np.testing.assert_array_equal(run(), run())
 
 
+class _adam_reference:
+    """The per-array Adam: one update per parameter array, in place, with
+    the flat optimizer's operations in the same order."""
+
+    def __init__(self, params, lr, beta1, beta2, eps):
+        self._params = list(params)
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.t = 0
+        self._m = [np.zeros_like(p.value) for p in self._params]
+        self._v = [np.zeros_like(p.value) for p in self._params]
+
+    def step(self):
+        self.t += 1
+        b1c = 1.0 - self.beta1 ** self.t
+        b2c = 1.0 - self.beta2 ** self.t
+        for p, m, v in zip(self._params, self._m, self._v):
+            m *= self.beta1
+            m += (1.0 - self.beta1) * p.grad
+            v *= self.beta2
+            v += (1.0 - self.beta2) * p.grad * p.grad
+            p.value -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+
+
+_SHAPES = st.lists(st.lists(st.integers(1, 9), min_size=1, max_size=3).map(tuple),
+                   min_size=1, max_size=5)
+# huge, tiny, signed zeros and ordinary magnitudes, in any sign
+_GRADS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-160, 1e-8, -0.3,
+                          1.0, -2.5, 1e8, 1e154, -1e160, 1e300, -1.7e308])
+
+
+@settings(max_examples=150, deadline=None)
+@given(shapes=_SHAPES, steps=st.integers(1, 5),
+       hyper=st.sampled_from([(0.001, 0.99, 0.999, 1e-8), (0.5, 0.0, 0.0, 1e-300),
+                              (1e-3, 0.9, 0.999, 1.0)]),
+       data=st.data())
+def test_flat_adam_matches_per_array_reference(shapes, steps, hyper, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    start = [rng.standard_normal(shape) for shape in shapes]
+    ours = [Param.zeros_like(f"p{i}", v.copy()) for i, v in enumerate(start)]
+    theirs = [Param.zeros_like(f"p{i}", v.copy()) for i, v in enumerate(start)]
+    flat, reference = Adam(ours, *hyper), _adam_reference(theirs, *hyper)
+    with np.errstate(all="ignore"):
+        for _ in range(steps):
+            for a, b in zip(ours, theirs):
+                grad = np.array(data.draw(st.lists(_GRADS, min_size=a.grad.size,
+                                                   max_size=a.grad.size), label="grad"))
+                # mixed signs and scales on top of the drawn specials
+                grad *= rng.choice([1.0, -1.0, 1e-3, 1e3], size=grad.size)
+                a.grad[...] = b.grad[...] = grad.reshape(a.grad.shape)
+            flat.step()
+            reference.step()
+            for a, b in zip(ours, theirs):
+                assert a.value.tobytes() == b.value.tobytes()
+
+
+def test_adam_params_are_views_of_its_buffers():
+    rng = np.random.default_rng(3)
+    seq = Sequential([Affine(3, 5, rng), ReLU(), LSTM(5, 2, rng), Conv1D(1, 1, rng)])
+    before = [p.value.copy() for p in seq.params()]
+    opt = Adam(seq.params(), lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
+    for p, value in zip(seq.params(), before):
+        assert np.shares_memory(p.value, opt._value)
+        assert np.shares_memory(p.grad, opt._grad)
+        assert p.value.tobytes() == value.tobytes()
+        assert p.value.flags.c_contiguous and p.value.ctypes.data % 64 == 0
+    # writes through the Params reach the buffers, and only their slices
+    for p in seq.params():
+        p.grad[...] = 1.0
+        p.value[...] = 2.0
+    assert opt._grad.sum() == opt._value.sum() / 2 == param_count(seq)
+    zero_grads(seq.params())
+    assert not opt._grad.any()
+    # a step moves every value by -lr: m_hat = v_hat = g = 1
+    for p in seq.params():
+        p.grad[...] = 1.0
+    opt.step()
+    for p in seq.params():
+        np.testing.assert_allclose(p.value, 1.9, rtol=1e-7)
+
+
 # ---------------------------------------------------------------- param counts
 
 def test_param_count_units():

@@ -3,12 +3,13 @@
 import copy
 import dataclasses
 import json
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polarlab.evaluation import read_rows, write_rows
+from polarlab.evaluation import ModelDecoder, read_rows, write_rows
 from polarlab.models import ModelSpec, build
 from polarlab.nn import Adam
 from polarlab.polar import construct_code, ebn0_to_sigma
@@ -194,6 +195,35 @@ def test_checkpoint_round_trip(tmp_path, spec):
     path2 = tmp_path / "ckpt2.json"
     save_checkpoint(loaded, path2, seed=meta.seed, epoch=meta.epoch)
     assert path.read_bytes() == path2.read_bytes()
+
+
+@pytest.mark.parametrize("spec", [
+    pytest.param(TOY_SPEC, id="mlp-rnnd"),
+    pytest.param(ModelSpec("cnn", "rnnd", N=8, K=4, cnn_denoiser_channels=(3, 4, 2),
+                           cnn_decoder_channels=(5, 2, 3)), id="cnn-rnnd"),
+    pytest.param(ModelSpec("rnn", "nnd", N=8, K=4, rnn_denoiser_hidden=3,
+                           rnn_decoder_hidden=5), id="rnn-nnd"),
+])
+def test_trained_model_copies_decode_the_same_bits(tmp_path, spec):
+    # training leaves the parameters as views of the optimizer's flat
+    # buffers; every way a model leaves the process copies only its own
+    model = build(spec, seed=8)
+    train(model, gen_dataset(construct_code(spec.N, spec.K)),
+          TrainConfig(epochs=3, seed=8))
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(model, path, seed=8, epoch=3)
+    # 300 frames: several tiles for cnn and rnn
+    y = np.random.default_rng(8).standard_normal((300, spec.N))
+    want = [out.tobytes() for out in model.forward(y) if out is not None]
+    for other in (copy.deepcopy(model), pickle.loads(pickle.dumps(model)),
+                  load_checkpoint(path)[0]):
+        got = [out.tobytes() for out in other.forward(y) if out is not None]
+        assert got == want
+        for p, q in zip(model.params(), other.params()):
+            assert not np.shares_memory(p.value, q.value)
+    fresh = build(spec, seed=8)
+    fresh.forward(y)
+    assert len(pickle.dumps(ModelDecoder(model))) <= len(pickle.dumps(ModelDecoder(fresh)))
 
 
 @pytest.mark.parametrize("version", [99, 1])
