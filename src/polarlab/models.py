@@ -211,7 +211,10 @@ class Model:
         self.decoder = decoder
 
     def params(self):
-        return [p for _, p in self.named_params()]
+        """The ``Param`` of each ``named_params`` entry, in the same order,
+        without building the names."""
+        out = [] if self.denoiser is None else self.denoiser.params()
+        return out + self.decoder.params()
 
     def named_params(self):
         out = []

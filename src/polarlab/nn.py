@@ -183,6 +183,16 @@ class Conv1D(Layer):
     values and the memory layout ``np.tensordot`` would give it, because the
     layout decides the bits of the result: at batch 1 the rows of a tap are
     a strided view of the padded input, not a copy.
+
+    The backward's dW is likewise one gemm per tap, and so is its dx
+    wherever a frame's product ``dt[frame] @ W[:, :, k].T`` is a gemm: more
+    than one input channel and a length above 1. The other frames' products
+    are gemvs (the first conv of a stack has one input channel; a length-1
+    conv closes a cnn-nnd), and one 2-D product over all frames rounds those
+    differently, so they stay a batched product, one gemv per frame. For
+    the gemm case the two forms round alike at the default widths, whose
+    input widths are multiples of 8; under OpenBLAS they round apart when
+    ``c_in % 8`` is 1-4 and ``c_out >= 16``.
     """
 
     KERNEL = 3
@@ -231,12 +241,19 @@ class Conv1D(Layer):
         dt = dout.transpose(0, 2, 1)
         dt_rows = dt.reshape(batch * length, c_out)
         taps = self._saved().transpose(1, 0, 2)
-        dxp = np.zeros((batch, length + 2 * self.PAD, len(taps)))
+        c_in = len(taps)
+        dxp = np.zeros((batch, length + 2 * self.PAD, c_in))
         for k in range(self.KERNEL):
             self.w.grad[:, :, k] += np.dot(
-                taps[:, :, k:k + length].reshape(len(taps), -1), dt_rows)
-            # a batched matmul: one gemv per frame when c_in is 1
-            dxp[:, k:k + length] += dt @ self.w.value[:, :, k].T
+                taps[:, :, k:k + length].reshape(c_in, -1), dt_rows)
+            w_k = self.w.value[:, :, k].T
+            if c_in == 1 or length == 1:
+                # one gemv per frame; one product over all rows rounds
+                # differently
+                dxp[:, k:k + length] += dt @ w_k
+            else:
+                dxp[:, k:k + length] += np.dot(dt_rows, w_k).reshape(
+                    batch, length, c_in)
         self.b.grad += dout.sum(axis=(0, 2))
         # channels first and contiguous, the layout the bias sums of the
         # layers upstream were written against

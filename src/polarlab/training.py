@@ -143,21 +143,27 @@ class CheckpointMeta:
 
 def save_checkpoint(model, path, seed, epoch):
     """Write the model's spec and tensors as JSON (decimal shortest-round-trip
-    floats)."""
-    doc = {
+    floats).
+
+    The bytes are ``json.dumps(doc) + "\\n"``. ``json.dump`` would stream the
+    document through the pure-Python encoder; here the C encoder writes the
+    header and then one tensor entry at a time, separated as ``json.dump``
+    separates list items, so one tensor's value list is alive at a time.
+    """
+    head = json.dumps({
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "spec": dataclasses.asdict(model.spec),
         "seed": int(seed),
         "epoch": int(epoch),
-        "tensors": [
-            {"name": name, "shape": list(p.value.shape),
-             "values": p.value.reshape(-1).tolist()}
-            for name, p in model.named_params()
-        ],
-    }
+        "tensors": [],
+    })
     with open(path, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        fh.write(head.removesuffix("]}"))
+        for i, (name, p) in enumerate(model.named_params()):
+            fh.write((", " if i else "") + json.dumps(
+                {"name": name, "shape": list(p.value.shape),
+                 "values": p.value.reshape(-1).tolist()}))
+        fh.write("]}\n")
 
 
 def load_checkpoint(path):

@@ -115,6 +115,17 @@ def test_spec_param_count_matches_built_model(data):
     assert spec_param_count(spec) == param_count(build(spec, seed=0))
 
 
+@pytest.mark.parametrize("arch", ALL_ARCHS)
+def test_params_are_named_params_in_order(arch):
+    # Adam lays params() out in its flat buffers and checkpoints name
+    # named_params(): the two must be the same objects in the same order
+    model = build(spec_for(arch), seed=0)
+    named = [p for _, p in model.named_params()]
+    params = model.params()
+    assert len(params) == len(named)
+    assert all(a is b for a, b in zip(params, named))
+
+
 def test_cnn_channels_come_in_threes():
     with pytest.raises(ValueError, match="three"):
         spec_for("cnn-rnnd", cnn_decoder_channels=(64, 32))

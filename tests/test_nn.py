@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from polarlab.models import VARIANTS, ModelSpec, build
 from polarlab.nn import (
     Adam,
     Affine,
@@ -174,7 +175,8 @@ def _ref_pool(x, dout):
 
 def _ref_conv(x, w, b, dout):
     """Convolution as one ``tensordot`` per tap over a channels-first padded
-    input: the output, dx, dW and db."""
+    input: the output, dx, dW and db. Where a frame's dx product is a gemv
+    (one input channel, or length 1), dx stays a product per frame."""
     length = x.shape[2]
     xp = np.pad(x, ((0, 0), (0, 0), (1, 1)))
     out = np.zeros((x.shape[0], length, w.shape[1]))
@@ -186,7 +188,11 @@ def _ref_conv(x, w, b, dout):
     for k in range(3):
         dw[:, :, k] += np.tensordot(xp[:, :, k:k + length], dt,
                                     axes=([0, 2], [0, 1]))
-        dxp[:, :, k:k + length] += (dt @ w[:, :, k].T).transpose(0, 2, 1)
+        if w.shape[0] == 1 or length == 1:
+            dx_k = dt @ w[:, :, k].T
+        else:
+            dx_k = np.tensordot(dt, w[:, :, k], axes=([2], [1]))
+        dxp[:, :, k:k + length] += dx_k.transpose(0, 2, 1)
     return (out.transpose(0, 2, 1) + b[None, :, None], dxp[:, :, 1:1 + length],
             dw, dout.sum(axis=(0, 2)))
 
@@ -287,11 +293,51 @@ _CONV_SIZES = dict(batch=st.integers(1, 70), c_in=st.integers(1, 70),
 @given(**_CONV_SIZES)
 # one output value from 1x1 taps, where np.dot takes a scalar product
 @example(batch=1, c_in=1, c_out=1, length=1, discrete=True, seed=202822)
+# a width where one dx gemm over all frames and a gemm per frame round apart
+@example(batch=2, c_in=33, c_out=16, length=2, discrete=False, seed=0)
 def test_conv1d_matches_tensordot_reference(batch, c_in, c_out, length,
                                             discrete, seed):
     layer, x, dout = _conv_case(batch, c_in, c_out, length, discrete, seed)
     ref = _ref_conv(x, layer.w.value, layer.b.value, dout)
     assert _conv_run(layer, x, dout) == [_bits(a) for a in ref]
+
+
+def _per_frame_dx(w, dout):
+    """dx as one batched product per tap, a gemm or a gemv for each frame:
+    the rounding every conv of the default architectures was trained with."""
+    batch, _, length = dout.shape
+    dt = dout.transpose(0, 2, 1)
+    dxp = np.zeros((batch, length + 2, w.shape[0]))
+    for k in range(3):
+        dxp[:, k:k + length] += dt @ w[:, :, k].T
+    return np.ascontiguousarray(dxp[:, 1:1 + length].transpose(0, 2, 1))
+
+
+def _default_conv_widths():
+    """The (c_in, c_out) of every conv the default architectures build."""
+    models = [build(ModelSpec("cnn", variant), seed=0) for variant in VARIANTS]
+    return sorted({layer.w.value.shape[:2]
+                   for model in models for stack in (model.denoiser, model.decoder)
+                   if stack is not None
+                   for layer in stack.layers if isinstance(layer, Conv1D)})
+
+
+@settings(max_examples=60, deadline=None)
+@given(widths=st.sampled_from(_default_conv_widths()), log_length=st.integers(0, 9),
+       batch=st.integers(1, 300), discrete=st.booleans(), seed=_SEED)
+# the two gemv convs at the training batch: the first conv of a stack at
+# N = 16, and the length-1 conv that closes a cnn-nnd
+@example(widths=(1, 64), log_length=4, batch=64, discrete=False, seed=1)
+@example(widths=(32, 32), log_length=0, batch=64, discrete=False, seed=2)
+def test_conv1d_dx_of_default_widths_is_the_per_frame_product(widths, log_length,
+                                                             batch, discrete, seed):
+    # one gemm over all frames rounds like a gemm per frame only for some
+    # widths (c_in % 8 of 1-4 differs once c_out >= 16), so every default
+    # width is pinned, at conv lengths up to N = 1024; length 1 and c_in = 1
+    # keep their per-frame gemv
+    layer, x, dout = _conv_case(batch, *widths, 2 ** log_length, discrete, seed)
+    layer.forward(x, keep=True)
+    assert _bits(layer.backward(dout)) == _bits(_per_frame_dx(layer.w.value, dout))
 
 
 @settings(max_examples=100, deadline=None)

@@ -182,6 +182,13 @@ def test_checkpoint_round_trip(tmp_path, spec):
           TrainConfig(epochs=3, seed=6))
     path = tmp_path / "ckpt.json"
     save_checkpoint(model, path, seed=6, epoch=3)
+    # the file is the whole document dumped at once, as json.dump wrote it
+    doc = {"format_version": 2, "spec": dataclasses.asdict(spec), "seed": 6,
+           "epoch": 3,
+           "tensors": [{"name": name, "shape": list(p.value.shape),
+                        "values": p.value.reshape(-1).tolist()}
+                       for name, p in model.named_params()]}
+    assert path.read_text() == json.dumps(doc) + "\n"
 
     loaded, meta = load_checkpoint(path)
     assert loaded.spec == spec
