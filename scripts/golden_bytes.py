@@ -16,11 +16,15 @@ thread, at seed 11 on the (16, 8) code:
   (16, 8)'s, has rate-0 nodes;
 - ``params``, whose standard output is hashed as ``params.txt``.
 
+The serial ``ber`` and each ``snr`` and ``pdf`` run again at two BLAS
+threads (``nn.blas_threads(2)``), where an inference forward spreads its
+tiles over two threads.
+
 It prints one ``sha256  file`` line per output: equal lines mean
 byte-identical outputs. It exits non-zero, with a message on standard
-error, if the pooled ``ber.csv`` differs from the serial one in any byte;
-the pooled file gets no line of its own, so the output diffs against
-checkouts that did not run it.
+error, if the pooled ``ber.csv`` or a file of a two-thread run differs
+from its one-thread counterpart in any byte; those files get no line of
+their own, so the output diffs against checkouts that did not run them.
 
     python scripts/golden_bytes.py --against REV
 
@@ -48,7 +52,7 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from polarlab import cli  # noqa: E402
+from polarlab import cli, nn  # noqa: E402
 
 ARCHS = ("rnn-nnd", "rnn-rnnd", "mlp-nnd", "mlp-rnnd", "cnn-rnnd", "cnn-nnd")
 DENOISERS = ("rnn-rnnd", "mlp-rnnd", "cnn-rnnd")
@@ -89,17 +93,28 @@ def run(root):
     checkpoints = {arch: str(root / "train" / arch / "checkpoint.json") for arch in ARCHS}
     # the evaluation commands take the architecture from each checkpoint
     evaluation = config("eval")
-    for out, workers in (("ber", "1"), ("ber-pooled", "2")):
-        _run("ber", "--config", evaluation, "--out", str(root / out),
-             "--workers", workers, *checkpoints.values())
+
+    def evaluate(command, out, *args):
+        """``command`` at one BLAS thread, then at two into a twin
+        directory, whose file must hold the same bytes; returns the path."""
+        name = f"{out}/{command}.csv"
+        _run(command, "--config", evaluation, "--out", str(root / out), *args)
+        with nn.blas_threads(2):
+            _run(command, "--config", evaluation, "--out", str(root / "two-threads" / out),
+                 *args)
+        if (root / "two-threads" / name).read_bytes() != (root / name).read_bytes():
+            raise SystemExit(f"{command} at two BLAS threads wrote a {name} that "
+                             f"differs from the one-thread one")
+        return name
+
+    outputs.append(evaluate("ber", "ber", *checkpoints.values()))
+    _run("ber", "--config", evaluation, "--out", str(root / "ber-pooled"),
+         "--workers", "2", *checkpoints.values())
     if (root / "ber-pooled/ber.csv").read_bytes() != (root / "ber/ber.csv").read_bytes():
         raise SystemExit("ber --workers 2 wrote a ber.csv that differs from the serial one")
-    outputs.append("ber/ber.csv")
     for command in ("snr", "pdf"):
         for arch in DENOISERS:
-            _run(command, "--config", evaluation, "--out", str(root / command / arch),
-                 checkpoints[arch])
-            outputs.append(f"{command}/{arch}/{command}.csv")
+            outputs.append(evaluate(command, f"{command}/{arch}", checkpoints[arch]))
     _run("ber", "--config", config("sc-64-32", code={"N": 64, "K": 32},
                                    eval={**CONFIG["eval"],
                                          "min_bit_errors": BER_FRAMES * 32 + 1}),

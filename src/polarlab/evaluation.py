@@ -142,7 +142,8 @@ def _usable_cpus():
 @contextlib.contextmanager
 def _make_pool(decoder, code, processes):
     """A pool, for a ``with`` block, whose workers each hold ``decoder`` and
-    ``code`` and run one BLAS thread, as they share the cores. All of it
+    ``code`` and run one BLAS thread, so they also decode their tiles on
+    one Python thread, as they share the cores. All of it
     reaches a worker at its start, by fork on any platform: the parent holds
     one BLAS thread until the pool is shut down (it forks at its first
     ``submit``), so no worker sets it and starts an OpenBLAS thread that
@@ -285,7 +286,8 @@ def timing_bench(code, decoders, frames, batch, rng):
     The SC baseline is timed frame by frame (its natural sequential form);
     neural decoders are timed over batched forwards of size ``batch``.
     ``TimingRow.batch`` is the size of each decode call, not of the tiles
-    a cnn or rnn model splits that call into.
+    a model splits that call into and spreads over the process's BLAS
+    thread count of Python threads.
     Raw numbers only; rows are not comparable claims.
     """
     if frames < 1:

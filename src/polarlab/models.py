@@ -9,6 +9,7 @@ bottleneck, and trains on the decoding term alone.
 """
 
 import numpy as np
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from polarlab.nn import (
@@ -20,6 +21,7 @@ from polarlab.nn import (
     ReLU,
     Sequential,
     Sigmoid,
+    blas_thread_count,
     blas_threads,
     mse_loss,
     zero_grads,
@@ -197,9 +199,14 @@ def spec_param_count(spec):
 
 # Frames per tile of an inference forward. A 2048-frame block's temporaries
 # are 4-16 MiB each and come from L3; a cnn tile of 64 frames or an rnn tile
-# of 128 keeps them in a 2 MiB L2. An mlp's are small already, and its few
-# gemms use every BLAS thread on the whole block, so it is not tiled.
-INFERENCE_TILE = {"mlp": None, "cnn": 64, "rnn": 128}
+# of 128 keeps them in a 2 MiB L2. An mlp's are small already; it is tiled
+# at 1024 frames so that a 2048-frame block has a tile for each of two
+# threads.
+INFERENCE_TILE = {"mlp": 1024, "cnn": 64, "rnn": 128}
+
+
+def _forward_tiles(stack, tiles):
+    return [stack.forward(tile) for tile in tiles]
 
 
 class Model:
@@ -234,7 +241,7 @@ class Model:
 
         Only with ``keep`` do the layers keep what a backward needs; by
         default the model holds no activations afterwards, and each stack
-        runs over the batch one tile of frames at a time.
+        runs over the batch in tiles of frames, spread over threads.
         """
         y = self._check_input(y)
         s_hat = None if self.denoiser is None else self._denoise(y, keep)
@@ -250,17 +257,33 @@ class Model:
         return y + self._run(self.denoiser, y, keep)
 
     def _run(self, stack, x, keep):
-        """``stack.forward(x)``, whole when ``keep`` is set or the family is
-        untiled, else joined from the fewest ``np.array_split`` parts of at
-        most ``tile`` rows: for ``tile >= 3`` none is a single frame unless
-        the batch is, as a one-row product goes to gemv and changes the bits.
-        Tiles run at one BLAS thread, as their gemms are too small to split."""
-        tile = INFERENCE_TILE[self.spec.family]
-        if keep or tile is None:
+        """``stack.forward(x)``, whole when ``keep`` is set, else joined in
+        order from the fewest ``np.array_split`` parts of at most ``tile``
+        rows: for ``tile >= 3`` none is a single frame unless the batch is,
+        as a one-row product goes to gemv and changes the bits.
+
+        Tiles run at one BLAS thread, as their gemms are too small to split,
+        on as many Python threads as the process had BLAS threads on entry
+        (at most one per tile): the calling thread runs the first contiguous
+        run of tiles and each helper of a pool made for this call one more.
+        numpy drops the GIL in its kernels, so the threads overlap, and a
+        tile's bits do not depend on the thread that runs it. The pool does
+        not outlive the call, as ``ber --workers`` forks this process and a
+        fork with live threads is unsafe."""
+        if keep:
             return stack.forward(x, keep)
-        with blas_threads(1):
-            return np.concatenate([stack.forward(part) for part in
-                                   np.array_split(x, max(1, -(-len(x) // tile)))])
+        tile = INFERENCE_TILE[self.spec.family]
+        tiles = np.array_split(x, max(1, -(-len(x) // tile)))
+        per_thread = -(-len(tiles) // min(blas_thread_count(), len(tiles)))
+        first, *rest = [tiles[i:i + per_thread]
+                        for i in range(0, len(tiles), per_thread)]
+        # a pool starts its threads at ``submit``, so one run starts none
+        with blas_threads(1), ThreadPoolExecutor(max(1, len(rest))) as helpers:
+            pending = [helpers.submit(_forward_tiles, stack, run) for run in rest]
+            outs = _forward_tiles(stack, first)
+            for done in pending:
+                outs += done.result()
+        return np.concatenate(outs)
 
     def loss(self, y, s_true, u_true, compute_grads=False):
         """Multi-task loss for RNND, decoding loss for NND.

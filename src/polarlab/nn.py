@@ -5,10 +5,11 @@ A training forward (``keep=True``) caches on the layer what the matching
 ``backward`` needs, so a layer instance is single-threaded during training;
 each layer's docstring says what it keeps. An inference forward (the
 default) keeps nothing and drops what an earlier training forward kept, so
-a ``backward`` after it raises instead of reusing stale activations. The
-arithmetic is the same either way. Parameters and their gradient buffers
-live in ``Param`` records so the optimizer and the checkpoint code can
-treat all layers uniformly.
+a ``backward`` after it raises instead of reusing stale activations; it
+only reads the layer's weights, so threads may run inference forwards of
+one layer at once. The arithmetic is the same either way. Parameters and
+their gradient buffers live in ``Param`` records so the optimizer and the
+checkpoint code can treat all layers uniformly.
 
 Importing this module makes the process keep its freed heap (glibc only;
 elsewhere nothing changes). An inference forward frees all of its
@@ -17,9 +18,12 @@ the kernel, and the next block of the same size faults every page of it
 in again: about 15k minor faults a 2048-frame ``cnn-rnnd`` forward, run in
 32 tiles. With the heap kept, warm forwards fault none.
 
-``blas_threads(n)`` runs a block at ``n`` OpenBLAS threads. Training, the
-tiled cnn and rnn forwards and the ``ber`` pool run at one: their gemms are
-too small to split, and a second thread would only busy-wait beside them.
+``blas_threads(n)`` runs a block at ``n`` OpenBLAS threads, and
+``blas_thread_count()`` reads the count. Training, every inference forward
+and the ``ber`` pool run at one: their gemms are too small to split, and a
+second thread would only busy-wait beside them. An inference forward puts
+the count it found to work instead, as that many Python threads over its
+tiles.
 """
 
 import contextlib
@@ -33,13 +37,12 @@ from dataclasses import dataclass
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 # Allocations below this size come from the heap, whose freed pages can be
-# reused, not from a private mapping that free unmaps at once. A cnn or rnn
-# model runs inference in tiles of at most 128 frames, whose temporaries
-# stay under 2 MiB; the largest temporary left is an untiled mlp's 128-wide
-# layer over a 4096-frame snr/pdf chunk, 4 MiB. 32 MiB, the largest value
-# glibc accepts on 64-bit hosts, keeps all of them on the heap with room to
-# spare. Setting it stops glibc from moving this threshold and the next one
-# by itself.
+# reused, not from a private mapping that free unmaps at once. Inference
+# runs in tiles of at most 128 frames (cnn, rnn) or 1024 (mlp), whose
+# temporaries stay under 2 MiB; the largest is an mlp tile's 128-wide
+# layer, 1 MiB. 32 MiB, the largest value glibc accepts on 64-bit hosts,
+# keeps all of them on the heap with room to spare. Setting it stops glibc
+# from moving this threshold and the next one by itself.
 MMAP_THRESHOLD = 32 << 20
 # The heap is trimmed only once this much is free at its top, more than a
 # decode block or a training step frees at once, so the next one reuses the
@@ -89,6 +92,13 @@ def _openblas_function(name):
                 fn.restype, fn.argtypes = _OPENBLAS_TYPES[name]
                 return fn
     return None
+
+
+def blas_thread_count():
+    """The OpenBLAS thread count of this process now, or 1 without
+    OpenBLAS: what an inference forward may spread its tiles over."""
+    get_threads = _openblas_function("get_num_threads")
+    return 1 if get_threads is None else get_threads()
 
 
 @contextlib.contextmanager

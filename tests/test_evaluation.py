@@ -4,6 +4,7 @@ import dataclasses
 import os
 import pickle
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -300,13 +301,85 @@ def test_tiled_forward_runs_at_one_blas_thread_and_restores_it(
     assert blas_threads() == 2
 
 
-def test_mlp_forward_keeps_the_blas_threads(two_blas_threads, monkeypatch, set_calls):
+def test_mlp_forward_runs_its_layers_at_one_blas_thread(two_blas_threads, monkeypatch,
+                                                        set_calls):
     model = build(ModelSpec("mlp", "rnnd", N=16, K=8), seed=0)
     seen = []
     _spy_forward(monkeypatch, nn.Affine, seen)
     model.forward(np.random.default_rng(0).standard_normal((ev.BER_BLOCK_FRAMES, 16)))
-    assert len(seen) == 8 and set(seen) == {2}
-    assert set_calls == []
+    # two tiles, each through the four Affines of both stacks
+    assert len(seen) == 16 and set(seen) == {1}
+    # one thread for each stack's tiles, the old count after
+    assert set_calls == [1, 2, 1, 2]
+    assert blas_threads() == 2
+
+
+# a layer each tile of the family's stacks runs through
+_FAMILY_LAYER = {"mlp": nn.Affine, "cnn": nn.Conv1D, "rnn": nn.LSTM}
+
+
+def _spy_threads(monkeypatch, family, seen, fail_off_caller=False):
+    """Make the family's layer record the thread that runs it, and raise
+    on any thread but the caller's with ``fail_off_caller``."""
+    cls = _FAMILY_LAYER[family]
+    forward, caller = cls.forward, threading.get_ident()
+
+    def spy(self, x, keep=False):
+        seen.add(threading.get_ident())
+        if fail_off_caller and threading.get_ident() != caller:
+            raise RuntimeError("tile failed")
+        return forward(self, x, keep)
+
+    monkeypatch.setattr(cls, "forward", spy)
+
+
+def _decode_block(family):
+    """A one-stack model of ``family``, whose forward makes one thread pool
+    at most, and a block of frames that is several of its tiles."""
+    model = build(ModelSpec(family, "nnd", N=16, K=8), seed=0)
+    return model, np.random.default_rng(0).standard_normal((ev.BER_BLOCK_FRAMES, 16))
+
+
+@pytest.mark.parametrize("family", list(_FAMILY_LAYER))
+def test_multi_tile_forward_runs_on_the_caller_and_one_helper(two_blas_threads,
+                                                              monkeypatch, family):
+    model, y = _decode_block(family)
+    before, seen = threading.active_count(), set()
+    _spy_threads(monkeypatch, family, seen)
+    model.forward(y)
+    assert len(seen) == 2 and threading.get_ident() in seen
+    assert blas_threads() == 2
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("family", list(_FAMILY_LAYER))
+def test_forward_at_one_blas_thread_starts_no_thread(two_blas_threads, monkeypatch,
+                                                     family):
+    def no_start(thread):
+        raise AssertionError(f"{thread} started")
+
+    model, y = _decode_block(family)
+    seen = set()
+    _spy_threads(monkeypatch, family, seen)
+    with nn.blas_threads(1):
+        with monkeypatch.context() as patch:
+            patch.setattr(threading.Thread, "start", no_start)
+            model.forward(y)
+    assert seen == {threading.get_ident()}
+    assert blas_threads() == 2
+
+
+@pytest.mark.parametrize("family", list(_FAMILY_LAYER))
+def test_tile_error_in_a_helper_reraises_in_the_caller(two_blas_threads, monkeypatch,
+                                                       family):
+    model, y = _decode_block(family)
+    before, seen = threading.active_count(), set()
+    _spy_threads(monkeypatch, family, seen, fail_off_caller=True)
+    with pytest.raises(RuntimeError, match="tile failed"):
+        model.forward(y)
+    assert len(seen) == 2
+    assert blas_threads() == 2
+    assert threading.active_count() == before
 
 
 def _decode_in_worker():

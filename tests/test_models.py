@@ -4,6 +4,7 @@ gradient checks on small instances.
 """
 
 import resource
+import threading
 
 import numpy as np
 import pytest
@@ -233,48 +234,61 @@ def test_forward_rejects_bad_width():
 @pytest.mark.parametrize("arch", ALL_ARCHS)
 def test_inference_forward_equals_training_forward(arch, batch):
     # the training forward runs the batch whole, the inference forward in
-    # tiles; the bits must not tell them apart
+    # tiles, on one thread or on two; the bits must not tell them apart
     model = build(spec_for(arch), seed=16)
     y = np.random.default_rng(batch).standard_normal((batch, 16))
-    s_want, u_want = model.forward(y, keep=True)
-    s_got, u_got = model.forward(y)
-    assert u_got.tobytes() == u_want.tobytes()
-    if s_want is None:
-        assert s_got is None
-    else:
-        assert s_got.tobytes() == s_want.tobytes()
-        assert model.denoise(y).tobytes() == s_want.tobytes()
+    for budget in (1, 2):
+        with nn.blas_threads(budget):
+            s_want, u_want = model.forward(y, keep=True)
+            s_got, u_got = model.forward(y)
+            s_alone = None if s_want is None else model.denoise(y)
+        assert u_got.tobytes() == u_want.tobytes()
+        if s_want is None:
+            assert s_got is None
+        else:
+            assert s_got.tobytes() == s_want.tobytes()
+            assert s_alone.tobytes() == s_want.tobytes()
 
 
 class _RowRecorder:
-    """A stack that returns its input and records the row numbers it saw."""
+    """A stack that returns its input and records the row numbers it saw,
+    per thread, as the threads of one forward interleave."""
 
     def __init__(self):
-        self.tiles = []
+        self.tiles = {}
 
     def forward(self, x, keep=False):
-        self.tiles.append(x[:, 0].astype(int).tolist())
+        rows = x[:, 0].astype(int).tolist()
+        self.tiles.setdefault(threading.get_ident(), []).append(rows)
         return x
 
 
-@pytest.mark.parametrize(
-    "tile", [3, 4, 5] + sorted(t for t in INFERENCE_TILE.values() if t))
+@pytest.mark.parametrize("tile", [3, 4, 5] + sorted(INFERENCE_TILE.values()))
 def test_inference_tiles_cover_rows_in_order_without_single_frames(tile,
                                                                    monkeypatch):
     monkeypatch.setitem(INFERENCE_TILE, "cnn", tile)
-    for batch in range(1, 2 * tile + 4):
-        stack = _RowRecorder()
-        y = np.repeat(np.arange(batch, dtype=float)[:, None], 16, axis=1)
-        _, out = Model(spec_for("cnn-nnd"), None, stack).forward(y)
-        assert out.tobytes() == y.tobytes()
-        # contiguous and in order
-        assert sum(stack.tiles, []) == list(range(batch))
-        sizes = [len(rows) for rows in stack.tiles]
-        assert max(sizes) <= tile
-        assert min(sizes) >= min(batch, 2)
-        # the fewest tiles that fit, and near-equal
-        assert len(sizes) == -(-batch // tile)
-        assert max(sizes) - min(sizes) <= 1
+    for budget in (1, 2):
+        for batch in range(1, 2 * tile + 4):
+            stack = _RowRecorder()
+            y = np.repeat(np.arange(batch, dtype=float)[:, None], 16, axis=1)
+            with nn.blas_threads(budget):
+                threads = nn.blas_thread_count()
+                _, out = Model(spec_for("cnn-nnd"), None, stack).forward(y)
+            assert out.tobytes() == y.tobytes()
+            # contiguous and in order
+            tiles = sorted(sum(stack.tiles.values(), []))
+            assert sum(tiles, []) == list(range(batch))
+            sizes = [len(rows) for rows in tiles]
+            assert max(sizes) <= tile
+            assert min(sizes) >= min(batch, 2)
+            # the fewest tiles that fit, and near-equal
+            assert len(sizes) == -(-batch // tile)
+            assert max(sizes) - min(sizes) <= 1
+            # one contiguous run of tiles per thread, the caller's first
+            runs = sorted(sum(own, []) for own in stack.tiles.values())
+            assert sum(runs, []) == list(range(batch))
+            assert stack.tiles[threading.get_ident()][0][0] == 0
+            assert len(runs) == min(threads, len(tiles))
 
 
 @pytest.mark.parametrize("arch", ALL_ARCHS)
