@@ -10,8 +10,8 @@ thread, at seed 11 on the (16, 8) code:
 - ``ber`` of SC and those checkpoints at Eb/N0 0 and 2.5 dB, 6,000 frames
   a point, serial and again with ``--workers 2``;
 - ``snr`` and ``pdf`` at 5,000 frames on rnn-rnnd, mlp-rnnd and cnn-rnnd,
-  whose tiled denoiser splits the last 904-frame chunk into 60/61-frame
-  tiles;
+  whose tiled denoiser splits the last 904-frame chunk into 113-frame
+  (cnn) and 226-frame (rnn) tiles;
 - ``ber`` of SC alone on the (64, 32) code, whose decoding tree, unlike
   (16, 8)'s, has rate-0 nodes;
 - ``params``, whose standard output is hashed as ``params.txt``.

@@ -8,6 +8,8 @@ The NND keeps the same trunk depth, drops the shortcut and the N-wide
 bottleneck, and trains on the decoding term alone.
 """
 
+import contextlib
+
 import numpy as np
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -197,16 +199,16 @@ def spec_param_count(spec):
                for cls, *dims in plan if dims)
 
 
-# Frames per tile of an inference forward. A 2048-frame block's temporaries
-# are 4-16 MiB each and come from L3; a cnn tile of 64 frames or an rnn tile
-# of 128 keeps them in a 2 MiB L2. An mlp's are small already; it is tiled
-# at 1024 frames so that a 2048-frame block has a tile for each of two
-# threads.
-INFERENCE_TILE = {"mlp": 1024, "cnn": 64, "rnn": 128}
-
-
-def _forward_tiles(stack, tiles):
-    return [stack.forward(tile) for tile in tiles]
+# Frames per tile of an inference forward, each the fastest size of those
+# timed for a 2048-frame forward on a 2-core AVX-512 Xeon, sizes alternating
+# in one process, 30-40 forwards each. A block's temporaries are 4-16 MiB
+# each and come from L3; a tile's stay within a 2 MiB L2. rnn: 256 beat 128
+# by 7-8% in 72 of 80 forwards (nnd and rnnd), and 512 beat 256 in 24 of
+# 60. cnn: 128 beat 64 by 11-19% in 69 of 80, and 256 beat 128 in 12 of 60.
+# mlp: its tiles are small already, and 1024 gives a 2048-frame block a tile
+# for each of two threads; 512 gained 1.4% on the eval-serial mlp lane,
+# within its noise.
+INFERENCE_TILE = {"mlp": 1024, "cnn": 128, "rnn": 256}
 
 
 class Model:
@@ -239,51 +241,63 @@ class Model:
     def forward(self, y, keep=False):
         """Returns ``(s_hat, u_soft)``; ``s_hat`` is None for NND variants.
 
-        Only with ``keep`` do the layers keep what a backward needs; by
-        default the model holds no activations afterwards, and each stack
-        runs over the batch in tiles of frames, spread over threads.
+        Only with ``keep`` do the layers keep what a backward needs, and
+        then the batch runs whole on the calling thread. By default the
+        model holds no activations afterwards, and each tile of frames runs
+        through the denoiser, the shortcut add and the decoder in one pass
+        (``_tiled``).
         """
         y = self._check_input(y)
-        s_hat = None if self.denoiser is None else self._denoise(y, keep)
-        return s_hat, self._run(self.decoder, y if s_hat is None else s_hat, keep)
+        return self._pass(y, keep) if keep else self._tiled(self._pass, y)
 
     def denoise(self, y):
         """``s_hat`` alone, tiled as ``forward`` is."""
         if self.denoiser is None:
             raise ValueError(f"{self.spec.arch_name} has no denoiser stage")
-        return self._denoise(self._check_input(y), keep=False)
+        return self._tiled(lambda tile: (self._denoise(tile),), self._check_input(y))[0]
 
-    def _denoise(self, y, keep):
-        return y + self._run(self.denoiser, y, keep)
+    def _denoise(self, y, keep=False):
+        return y + self.denoiser.forward(y, keep)
 
-    def _run(self, stack, x, keep):
-        """``stack.forward(x)``, whole when ``keep`` is set, else joined in
-        order from the fewest ``np.array_split`` parts of at most ``tile``
-        rows: for ``tile >= 3`` none is a single frame unless the batch is,
-        as a one-row product goes to gemv and changes the bits.
+    def _pass(self, y, keep=False):
+        """``(s_hat, u_soft)`` of ``y`` through the whole model."""
+        s_hat = None if self.denoiser is None else self._denoise(y, keep)
+        return s_hat, self.decoder.forward(y if s_hat is None else s_hat, keep)
+
+    def _tiled(self, per_tile, y):
+        """The outputs of ``per_tile`` (a tuple of arrays or Nones per
+        tile), each joined in tile order over the fewest ``np.array_split``
+        parts of ``y`` of at most ``INFERENCE_TILE`` rows: for a tile of 3
+        or more none is a single frame unless the batch is, as a one-row
+        product goes to gemv and changes the bits.
 
         Tiles run at one BLAS thread, as their gemms are too small to split,
         on as many Python threads as the process had BLAS threads on entry
         (at most one per tile): the calling thread runs the first contiguous
-        run of tiles and each helper of a pool made for this call one more.
-        numpy drops the GIL in its kernels, so the threads overlap, and a
-        tile's bits do not depend on the thread that runs it. The pool does
-        not outlive the call, as ``ber --workers`` forks this process and a
-        fork with live threads is unsafe."""
-        if keep:
-            return stack.forward(x, keep)
+        run of tiles and each helper of a pool made for this call, only if
+        there is a second run, one more. A tile goes through every stack on
+        the thread that runs it, so a forward makes one pool at most. numpy
+        drops the GIL in its kernels, so the threads overlap, and a tile's
+        bits do not depend on the thread that runs it. The pool does not
+        outlive the call, as ``ber --workers`` forks this process and a fork
+        with live threads is unsafe."""
         tile = INFERENCE_TILE[self.spec.family]
-        tiles = np.array_split(x, max(1, -(-len(x) // tile)))
+        tiles = np.array_split(y, max(1, -(-len(y) // tile)))
         per_thread = -(-len(tiles) // min(blas_thread_count(), len(tiles)))
         first, *rest = [tiles[i:i + per_thread]
                         for i in range(0, len(tiles), per_thread)]
-        # a pool starts its threads at ``submit``, so one run starts none
-        with blas_threads(1), ThreadPoolExecutor(max(1, len(rest))) as helpers:
-            pending = [helpers.submit(_forward_tiles, stack, run) for run in rest]
-            outs = _forward_tiles(stack, first)
+
+        def run(part):
+            return [per_tile(t) for t in part]
+
+        pool = ThreadPoolExecutor(len(rest)) if rest else contextlib.nullcontext()
+        with blas_threads(1), pool as helpers:
+            pending = [helpers.submit(run, part) for part in rest]
+            outs = run(first)
             for done in pending:
                 outs += done.result()
-        return np.concatenate(outs)
+        return tuple(None if parts[0] is None else np.concatenate(parts)
+                     for parts in zip(*outs))
 
     def loss(self, y, s_true, u_true, compute_grads=False):
         """Multi-task loss for RNND, decoding loss for NND.

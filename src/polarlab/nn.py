@@ -38,11 +38,12 @@ _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 # Allocations below this size come from the heap, whose freed pages can be
 # reused, not from a private mapping that free unmaps at once. Inference
-# runs in tiles of at most 128 frames (cnn, rnn) or 1024 (mlp), whose
-# temporaries stay under 2 MiB; the largest is an mlp tile's 128-wide
-# layer, 1 MiB. 32 MiB, the largest value glibc accepts on 64-bit hosts,
-# keeps all of them on the heap with room to spare. Setting it stops glibc
-# from moving this threshold and the next one by itself.
+# runs in tiles of at most 128 frames (cnn), 256 (rnn) or 1024 (mlp), whose
+# temporaries are at most 2 MiB; the largest is an rnn tile's hidden-state
+# sequence, 256 frames by 16 steps by 64 units. 32 MiB, the largest value
+# glibc accepts on 64-bit hosts, keeps all of them on the heap with room to
+# spare. Setting it stops glibc from moving this threshold and the next one
+# by itself.
 MMAP_THRESHOLD = 32 << 20
 # The heap is trimmed only once this much is free at its top, more than a
 # decode block or a training step frees at once, so the next one reuses the

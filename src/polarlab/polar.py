@@ -224,11 +224,17 @@ def awgn_channel(symbols, sigma, rng):
 
 
 def channel_llr(y, sigma):
-    """BPSK LLRs through AWGN of deviation ``sigma``; an overflow is infinite."""
+    """BPSK LLRs through AWGN of deviation ``sigma``, ``2 y / sigma**2``
+    rounded once; an overflow of that value is infinite.
+
+    ``y`` is divided by half the noise variance, so no ``2 * y`` can
+    overflow on the way to a finite LLR; halving a variance above 2**-1021
+    (any sigma above 2.2e-154) is exact, so the one rounding is that of
+    the quotient."""
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     with np.errstate(over="ignore"):
-        return 2.0 * np.asarray(y, dtype=np.float64) / (sigma * sigma)
+        return np.asarray(y, dtype=np.float64) / (sigma * sigma / 2.0)
 
 
 def _boxplus(a, b):

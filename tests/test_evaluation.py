@@ -309,8 +309,8 @@ def test_mlp_forward_runs_its_layers_at_one_blas_thread(two_blas_threads, monkey
     model.forward(np.random.default_rng(0).standard_normal((ev.BER_BLOCK_FRAMES, 16)))
     # two tiles, each through the four Affines of both stacks
     assert len(seen) == 16 and set(seen) == {1}
-    # one thread for each stack's tiles, the old count after
-    assert set_calls == [1, 2, 1, 2]
+    # one thread for the whole forward, the old count after
+    assert set_calls == [1, 2]
     assert blas_threads() == 2
 
 
@@ -333,23 +333,40 @@ def _spy_threads(monkeypatch, family, seen, fail_off_caller=False):
     monkeypatch.setattr(cls, "forward", spy)
 
 
-def _decode_block(family):
-    """A one-stack model of ``family``, whose forward makes one thread pool
-    at most, and a block of frames that is several of its tiles."""
-    model = build(ModelSpec(family, "nnd", N=16, K=8), seed=0)
-    return model, np.random.default_rng(0).standard_normal((ev.BER_BLOCK_FRAMES, 16))
+def _decode_blocks(family):
+    """A one-stack (nnd) and a two-stack (rnnd) model of ``family``, each
+    with a block of frames that is several of its tiles."""
+    y = np.random.default_rng(0).standard_normal((ev.BER_BLOCK_FRAMES, 16))
+    return [(build(ModelSpec(family, variant, N=16, K=8), seed=0), y)
+            for variant in ("nnd", "rnnd")]
+
+
+def _count_starts(monkeypatch):
+    """Make ``threading.Thread.start`` record the threads it starts."""
+    starts, start = [], threading.Thread.start
+
+    def spy(thread):
+        starts.append(thread)
+        return start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    return starts
 
 
 @pytest.mark.parametrize("family", list(_FAMILY_LAYER))
 def test_multi_tile_forward_runs_on_the_caller_and_one_helper(two_blas_threads,
                                                               monkeypatch, family):
-    model, y = _decode_block(family)
-    before, seen = threading.active_count(), set()
-    _spy_threads(monkeypatch, family, seen)
-    model.forward(y)
-    assert len(seen) == 2 and threading.get_ident() in seen
-    assert blas_threads() == 2
-    assert threading.active_count() == before
+    for model, y in _decode_blocks(family):
+        before, seen = threading.active_count(), set()
+        with monkeypatch.context() as patch:
+            _spy_threads(patch, family, seen)
+            starts = _count_starts(patch)
+            model.forward(y)
+        # one helper for the whole forward, however many stacks it has
+        assert len(starts) == 1
+        assert len(seen) == 2 and threading.get_ident() in seen
+        assert blas_threads() == 2
+        assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("family", list(_FAMILY_LAYER))
@@ -358,28 +375,29 @@ def test_forward_at_one_blas_thread_starts_no_thread(two_blas_threads, monkeypat
     def no_start(thread):
         raise AssertionError(f"{thread} started")
 
-    model, y = _decode_block(family)
-    seen = set()
-    _spy_threads(monkeypatch, family, seen)
-    with nn.blas_threads(1):
+    for model, y in _decode_blocks(family):
+        seen = set()
         with monkeypatch.context() as patch:
+            _spy_threads(patch, family, seen)
             patch.setattr(threading.Thread, "start", no_start)
-            model.forward(y)
-    assert seen == {threading.get_ident()}
-    assert blas_threads() == 2
+            with nn.blas_threads(1):
+                model.forward(y)
+        assert seen == {threading.get_ident()}
+        assert blas_threads() == 2
 
 
 @pytest.mark.parametrize("family", list(_FAMILY_LAYER))
 def test_tile_error_in_a_helper_reraises_in_the_caller(two_blas_threads, monkeypatch,
                                                        family):
-    model, y = _decode_block(family)
-    before, seen = threading.active_count(), set()
-    _spy_threads(monkeypatch, family, seen, fail_off_caller=True)
-    with pytest.raises(RuntimeError, match="tile failed"):
-        model.forward(y)
-    assert len(seen) == 2
-    assert blas_threads() == 2
-    assert threading.active_count() == before
+    for model, y in _decode_blocks(family):
+        before, seen = threading.active_count(), set()
+        with monkeypatch.context() as patch:
+            _spy_threads(patch, family, seen, fail_off_caller=True)
+            with pytest.raises(RuntimeError, match="tile failed"):
+                model.forward(y)
+        assert len(seen) == 2
+        assert blas_threads() == 2
+        assert threading.active_count() == before
 
 
 def _decode_in_worker():

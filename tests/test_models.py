@@ -5,10 +5,11 @@ gradient checks on small instances.
 
 import resource
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from polarlab import nn
 from polarlab.models import (
@@ -227,10 +228,10 @@ def test_forward_rejects_bad_width():
         model.forward(np.zeros(16))
 
 
-# both sides of every boundary of a 64- and a 128-frame tile, the decode block
-# and two blocks
+# both sides of every boundary of a 64-, a 128- and a 256-frame tile, the
+# decode block and two blocks
 @pytest.mark.parametrize("batch",
-                         [1, 2, 63, 64, 65, 127, 128, 129, 257, 2048, 4096])
+                         [1, 2, 63, 64, 65, 127, 128, 129, 255, 256, 257, 2048, 4096])
 @pytest.mark.parametrize("arch", ALL_ARCHS)
 def test_inference_forward_equals_training_forward(arch, batch):
     # the training forward runs the batch whole, the inference forward in
@@ -250,6 +251,31 @@ def test_inference_forward_equals_training_forward(arch, batch):
             assert s_alone.tobytes() == s_want.tobytes()
 
 
+@pytest.mark.parametrize("arch", ALL_ARCHS)
+@settings(max_examples=10, deadline=None)
+@example(batch=3, tile=3).via("the smallest tile that never cuts one frame")
+@example(batch=2049, tile=2048).via("a one-frame excess over the tile")
+@example(batch=2048, tile=2).via("a tile of two on an even batch")
+@given(batch=st.integers(2, 2100), tile=st.integers(2, 2049))
+def test_inference_bits_do_not_depend_on_the_tile_size(arch, batch, tile):
+    # the oracle is the training forward, which runs the batch whole; any
+    # tile of 3 or more cuts no single frame from a batch of 2 or more, and
+    # a tile of 2 only on odd batches, where the lone frame's gemv moves bits
+    assume(tile > 2 or batch % 2 == 0)
+    model = build(spec_for(arch), seed=16)
+    y = np.random.default_rng(batch).standard_normal((batch, 16))
+    with mock.patch.dict(INFERENCE_TILE, {model.spec.family: tile}):
+        for budget in (1, 2):
+            with nn.blas_threads(budget):
+                s_want, u_want = model.forward(y, keep=True)
+                s_got, u_got = model.forward(y)
+                s_alone = None if s_want is None else model.denoise(y)
+            assert u_got.tobytes() == u_want.tobytes()
+            if s_want is not None:
+                assert s_got.tobytes() == s_want.tobytes()
+                assert s_alone.tobytes() == s_want.tobytes()
+
+
 class _RowRecorder:
     """A stack that returns its input and records the row numbers it saw,
     per thread, as the threads of one forward interleave."""
@@ -263,7 +289,8 @@ class _RowRecorder:
         return x
 
 
-@pytest.mark.parametrize("tile", [3, 4, 5] + sorted(INFERENCE_TILE.values()))
+# small sizes, the sizes in use and 64, the cnn size before them
+@pytest.mark.parametrize("tile", sorted({3, 4, 5, 64, *INFERENCE_TILE.values()}))
 def test_inference_tiles_cover_rows_in_order_without_single_frames(tile,
                                                                    monkeypatch):
     monkeypatch.setitem(INFERENCE_TILE, "cnn", tile)

@@ -9,6 +9,7 @@ regression fixtures. The pruned SC decoder is checked against the plain SC
 recursion, which visits every node.
 """
 
+import fractions
 import functools
 import itertools
 
@@ -340,6 +341,38 @@ def test_awgn_moments():
 def test_awgn_zero_sigma_is_identity():
     s = bpsk_modulate(np.array([0, 1, 1, 0]))
     np.testing.assert_array_equal(awgn_channel(s, 0.0, np.random.default_rng(1)), s)
+
+
+def _channel_llr_doubling_first(y, sigma):
+    """The form ``channel_llr`` had, whose ``2.0 * y`` overflows first."""
+    with np.errstate(over="ignore"):
+        return 2.0 * np.asarray(y, dtype=np.float64) / (sigma * sigma)
+
+
+@settings(max_examples=500)
+@example(y=1e308, sigma=2.0)
+@example(y=-np.finfo(float).max, sigma=1.5)
+@example(y=5e-324, sigma=0.5)
+@given(y=st.floats(allow_nan=False, allow_infinity=False),
+       sigma=st.floats(2.2e-154, 1e154))
+def test_channel_llr_rounds_the_exact_value_once(y, sigma):
+    # oracle: 2 y / sigma**2 in exact rationals, with sigma**2 rounded as
+    # the decoder rounds it, then rounded to the nearest double
+    llr = channel_llr(np.array([y]), sigma)[0]
+    try:
+        want = float(2 * fractions.Fraction(y) / fractions.Fraction(sigma * sigma))
+    except OverflowError:
+        want = np.copysign(np.inf, y)
+    assert llr == want
+    # wherever the doubling-first form was finite, the bits are its bits
+    old = _channel_llr_doubling_first(np.array([y]), sigma)[0]
+    if np.isfinite(old):
+        assert llr.tobytes() == old.tobytes()
+
+
+def test_channel_llr_of_a_huge_sample_is_finite():
+    assert channel_llr(1e308, 2.0) == 5e307
+    assert _channel_llr_doubling_first(1e308, 2.0) == np.inf
 
 
 def test_channel_llr_rejects_nonpositive_sigma():
