@@ -1,23 +1,35 @@
-"""Run the benchmark on a parent revision and on this working tree, in pairs.
+"""Run the benchmark on a parent revision and on this working tree, in
+pairs, with a same-session A/A floor.
 
     python scripts/pairs.py PARENT_REV --workload W --pairs N --seed S \\
         [--label L]
 
-It extracts two ``git archive`` copies into a temporary directory: one of
-the revision PARENT_REV and one of the working tree as it is now, staged
-and unstaged edits and untracked files included (through a temporary git
-index, so the real index is not touched). Pair ``i`` runs
-``perfbench/run.py --workload W --seed S+i`` in each copy, for the
-``run_seconds`` that ``BENCHMARK.json`` declares, the parent first in even
-pairs and the change first in odd ones.
+It extracts three ``git archive`` copies into a temporary directory: two of
+the revision PARENT_REV (``parent`` and ``parent2``) and one of the working
+tree as it is now (``change``), staged and unstaged edits and untracked
+files included (through a temporary git index, so the real index is not
+touched). Pair ``i`` runs ``perfbench/run.py --workload W --seed S+i`` in
+each copy, for the ``run_seconds`` that ``BENCHMARK.json`` declares, in the
+order parent, change, parent2 rotated by ``i``, so each copy runs first in
+every third pair.
+
+The two parent copies run the same code from different directories, so
+what sets them apart is the host's noise in this session, directory
+placement included. Per end-to-end metric, the A/A ratio is parent2's
+median over parent's, and the floor is the factor by which it strays from
+1, either way. A pair counts as beyond the floor where the change's ratio
+to the parent in that pair is better than 1 by more than the floor. The
+widest single-pair A/A factor is kept beside it, as the host's spread.
 
 It writes ``BENCH_<L>.json`` at the root of the checkout (L defaults to
 PARENT_REV). The file holds one entry per workload, so runs of other
 workloads under the same label are kept. An entry has every run's
 fingerprint, ``correct`` flag and failed/attempted counts and metrics, and,
-for each end-to-end metric of ``BENCHMARK.json``, the parent's and the
-change's median and quartiles, the ratio of the medians, the metric's
-bound, and the number of pairs the change won (ties count for neither).
+for each end-to-end metric of ``BENCHMARK.json``, each copy's median and
+quartiles, the ratio of the change's median to the parent's, the metric's
+bound, the number of pairs the change won (ties count for neither), the
+A/A ratio, the floor, the number of pairs beyond it and the widest
+single-pair A/A factor.
 """
 
 import argparse
@@ -32,6 +44,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# the two copies of the parent revision and the working tree
+SIDES = ("parent", "change", "parent2")
 
 
 def _git(*args, env=None):
@@ -73,22 +87,32 @@ def _quartiles(values):
 
 
 def summarize(runs, declared):
-    """Per end-to-end metric: each side's median and quartiles, the ratio of
-    the medians, the bound, and the change's wins over the pairs."""
+    """Per end-to-end metric: each copy's median and quartiles, the ratio
+    of the change's median to the parent's, the bound, the change's wins
+    over the pairs, the A/A ratio and floor, the pairs beyond the floor,
+    and the widest single-pair A/A factor."""
     out = {}
     for metric in declared:
         name, lower = metric["name"], metric["better"] == "lower"
         sides = {side: [run["metrics"].get(name, {}).get("value") for run in runs[side]]
-                 for side in ("parent", "change")}
+                 for side in SIDES}
         if any(v is None for values in sides.values() for v in values):
             continue
-        wins = sum((c < p) if lower else (c > p)
-                   for p, c in zip(sides["parent"], sides["change"]))
-        parent, change = _quartiles(sides["parent"]), _quartiles(sides["change"])
+        parent = sides["parent"]
+        # per pair, a ratio above 1 is better for the second copy
+        gains = {side: [(p / v) if lower else (v / p) for p, v in zip(parent, sides[side])]
+                 for side in ("change", "parent2")}
+        medians = {side: _quartiles(values) for side, values in sides.items()}
+        aa_ratio = medians["parent2"]["median"] / medians["parent"]["median"]
+        floor = max(aa_ratio, 1.0 / aa_ratio)
         out[name] = {"unit": metric["unit"], "better": metric["better"],
-                     "bound": metric["bound"], "parent": parent, "change": change,
-                     "ratio": change["median"] / parent["median"],
-                     "change_wins": wins, "pairs": len(sides["parent"])}
+                     "bound": metric["bound"], **medians,
+                     "ratio": medians["change"]["median"] / medians["parent"]["median"],
+                     "change_wins": sum(r > 1.0 for r in gains["change"]),
+                     "aa_ratio": aa_ratio, "floor": floor,
+                     "beyond_floor": sum(r > floor for r in gains["change"]),
+                     "aa_pair_max": max(max(r, 1.0 / r) for r in gains["parent2"]),
+                     "pairs": len(parent)}
     return out
 
 
@@ -105,15 +129,17 @@ def main():
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = benchmark["run_seconds"]
     out = ROOT / f"BENCH_{args.label or args.parent}.json"
-    runs = {"parent": [], "change": []}
+    runs = {side: [] for side in SIDES}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        checkouts = {"parent": tmp / "parent", "change": tmp / "change"}
+        checkouts = {side: tmp / side for side in SIDES}
         _extract(args.parent, checkouts["parent"])
+        _extract(args.parent, checkouts["parent2"])
         _extract(_working_tree(tmp), checkouts["change"])
         for pair in range(args.pairs):
             seed = args.seed + pair
-            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+            shift = pair % len(SIDES)
+            order = SIDES[shift:] + SIDES[:shift]
             for side in order:
                 run = _run(checkouts[side], args.workload, seed, seconds)
                 runs[side].append({"pair": pair, "seed": seed,
@@ -129,7 +155,9 @@ def main():
     for name, s in doc[args.workload]["summary"].items():
         print(f"{args.workload} {name}: {s['parent']['median']:.6g} -> "
               f"{s['change']['median']:.6g} (x{s['ratio']:.4f}, bound {s['bound']}), "
-              f"change better in {s['change_wins']} of {s['pairs']}")
+              f"change better in {s['change_wins']} of {s['pairs']}; A/A "
+              f"x{s['aa_ratio']:.4f}, change beyond that floor in "
+              f"{s['beyond_floor']} of {s['pairs']}, widest A/A pair x{s['aa_pair_max']:.4f}")
     print(f"wrote {out}")
 
 

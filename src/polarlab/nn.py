@@ -39,8 +39,9 @@ _M_MMAP_THRESHOLD = -3
 # Allocations below this size come from the heap, whose freed pages can be
 # reused, not from a private mapping that free unmaps at once. Inference
 # runs in tiles of at most 128 frames (cnn), 256 (rnn) or 1024 (mlp), whose
-# temporaries are at most 2 MiB; the largest is an rnn tile's hidden-state
-# sequence, 256 frames by 16 steps by 64 units. 32 MiB, the largest value
+# temporaries are at most 2.2 MB; the largest is an rnn tile's hidden-state
+# buffer, (17, 256, 64): the zero start and 16 steps of 256 frames by 64
+# units. 32 MiB, the largest value
 # glibc accepts on 64-bit hosts, keeps all of them on the heap with room to
 # spare. Setting it stops glibc from moving this threshold and the next one
 # by itself.
@@ -336,14 +337,6 @@ def _product(out, *factors):
         out *= factor
 
 
-def _sigmoid_in_place(a):
-    """``a = 1.0 / (1.0 + np.exp(-a))``, bit for bit, without temporaries."""
-    np.negative(a, out=a)
-    np.exp(a, out=a)
-    a += 1.0
-    np.divide(1.0, a, out=a)
-
-
 class LSTM(Layer):
     """Single-layer LSTM over (batch, time, features), h0 = c0 = 0.
 
@@ -356,14 +349,27 @@ class LSTM(Layer):
     A call stacks the per-gate weights once, in ``STACK`` order (i, f, o,
     g: the logistic gates first), and allocates its step state once. Each
     step computes the four gates as one (4, batch, hidden) tensor in place:
-    a batched gemm each for ``h @ Wh`` and ``x_t @ Wx`` (a broadcast
-    product when n_in is 1), ``H + X + b``, one logistic over the first
-    three gates and one tanh. Per gate these are the bits of
-    ``x_t @ Wx + h @ Wh + b`` and ``1 / (1 + exp(-a))``. A training forward
-    caches the input, the gate activations (steps, 4, batch, hidden) in
-    ``STACK`` order, h and c from the zero start on (steps + 1, batch,
-    hidden) and tanh(c_t) (steps, batch, hidden); an inference forward
-    reuses one slot of each.
+    a batched gemm each for ``h @ Wh`` and ``x_t @ Wx``, ``H + X + b``, one
+    logistic over the first three gates and one tanh. Per gate these are
+    the bits of ``x_t @ Wx + h @ Wh + b`` and ``1 / (1 + exp(-a))``:
+
+    - The i, f and o slices of the stacked ``Wx``, ``Wh`` and ``b`` are
+      negated, so those gates sum to -a and the logistic is ``exp``,
+      ``+ 1`` and a division. Negation is exact and round-to-nearest is
+      symmetric in sign, so each product and sum is the exact negation of
+      the one it replaces. Only a zero may change its sign (and a NaN
+      from non-finite input), and ``exp(-0.0) == exp(0.0) == 1``.
+    - ``b``, and for n_in = 1 ``Wx``, are repeated along the batch axis.
+      Each n_in = 1 step copies x_t across a (batch, hidden) row block, and
+      ``x_t * Wx`` is one elementwise loop per gate.
+
+    The hidden states live in one (steps + 1, batch, hidden) buffer, h[0]
+    the zero start; step t writes h[t + 1] in place. The output is its
+    view ``h[1:].transpose(1, 0, 2)``: a step's states are contiguous rows
+    for ``TakeLast`` and for the next LSTM. A training forward caches the
+    input, the gate activations (steps, 4, batch, hidden) in ``STACK``
+    order, h and c (steps + 1, batch, hidden) and tanh(c_t) (steps, batch,
+    hidden); an inference forward reuses one slot of each but h.
 
     The backward builds the four pre-activation gradients as one (4,
     batch, hidden) tensor and accumulates the weight and bias gradients
@@ -403,50 +409,63 @@ class LSTM(Layer):
             raise ValueError(f"expected (batch, time, {self.n_in}), got {x.shape}")
         self._cache = None
         batch, steps, _ = x.shape
-        wx, wh = self._stacked(self.wx), self._stacked(self.wh)
+        wx, wh, b = (self._stacked(table) for table in (self.wx, self.wh, self.b))
+        # the logistic gates then sum to -a, which exp takes as it is
+        for w in (wx, wh, b):
+            np.negative(w[:3], out=w[:3])
         # repeated along the batch axis: the add is 2x faster at 64 frames
-        # and 10-20% at 2048 than a broadcast one
-        b = np.repeat(self._stacked(self.b)[:, None, :], batch, axis=1)
-        # step t reads state slot t and writes slot t + 1, modulo the count;
-        # one slot is enough, as a step reads all of h and c before it writes
-        n_gate, n_state = (steps, steps + 1) if keep else (1, 1)
+        # and 10-20% at 2048 than a broadcast one, and the n_in = 1 product
+        # runs as one loop per gate instead of one per frame and gate
+        b = np.repeat(b[:, None, :], batch, axis=1)
+        if self.n_in == 1:
+            wx = np.repeat(wx, batch, axis=1)
+            x_t = np.empty((batch, self.n_hidden))
+        # step t reads cell slot t and writes slot t + 1, modulo the count;
+        # one slot is enough, as a step reads all of c before it writes
+        n_gate, n_cell = (steps, steps + 1) if keep else (1, 1)
         gates = np.empty((n_gate, len(self.STACK), batch, self.n_hidden))
         tanh_c = np.empty((n_gate, batch, self.n_hidden))
-        h = np.empty((n_state, batch, self.n_hidden))
-        c = np.empty((n_state, batch, self.n_hidden))
+        h = np.empty((steps + 1, batch, self.n_hidden))
+        c = np.empty((n_cell, batch, self.n_hidden))
         h[0] = c[0] = 0.0
         xw = np.empty((len(self.STACK), batch, self.n_hidden))
         work = np.empty((batch, self.n_hidden))
-        hs = np.empty((batch, steps, self.n_hidden))
         for t in range(steps):
-            x_t, h_prev, c_prev = x[:, t, :], h[t % n_state], c[t % n_state]
-            h_t, c_t = h[(t + 1) % n_state], c[(t + 1) % n_state]
+            c_prev, c_t = c[t % n_cell], c[(t + 1) % n_cell]
             acts, tc = gates[t % n_gate], tanh_c[t % n_gate]
             # H + X + b has the bits of X + H + b, as addition commutes. For
-            # n_in = 1 a broadcast product takes 30% less time than the k=1
-            # gemm, whose bits it has but -0.0 where the gemm gives +0.0; a
-            # gemm never returns -0.0, so adding H drops that sign again
-            np.matmul(h_prev, wh, out=acts)
+            # n_in = 1 a product takes 30% less time than the k=1 gemm,
+            # whose bits it has but -0.0 where the gemm gives +0.0; a gemm
+            # never returns -0.0, so adding H drops that sign again
+            np.matmul(h[t], wh, out=acts)
             if self.n_in == 1:
+                x_t[...] = x[:, t]
                 np.multiply(x_t, wx, out=xw)
             else:
-                np.matmul(x_t, wx, out=xw)
+                np.matmul(x[:, t], wx, out=xw)
             acts += xw
             acts += b
-            _sigmoid_in_place(acts[:3])
+            logistic = acts[:3]
+            np.exp(logistic, out=logistic)
+            logistic += 1.0
+            np.divide(1.0, logistic, out=logistic)
             np.tanh(acts[3], out=acts[3])
             i, f, o, g = acts
             np.multiply(f, c_prev, out=c_t)
             c_t += np.multiply(i, g, out=work)
             np.tanh(c_t, out=tc)
-            np.multiply(o, tc, out=h_t)
-            hs[:, t] = h_t
+            np.multiply(o, tc, out=h[t + 1])
         if keep:
             self._cache = (x, gates, h, c, tanh_c)
-        return hs
+        return h[1:].transpose(1, 0, 2)
 
     def backward(self, dout):
         x, gates, h, c, tanh_c = self._saved()
+        if self.n_in == 1:
+            # x_t.T @ pre is then a gemv per gate, and OpenBLAS rounds a
+            # strided vector (x_t of a C-ordered x) apart from a contiguous
+            # one at some sizes; the models feed these layers C-ordered x
+            x = np.ascontiguousarray(x)
         batch, steps, _ = dout.shape
         # transposed views, the operands the per-gate products p @ W.T had
         wx_t = self._stacked(self.wx).transpose(0, 2, 1)

@@ -409,18 +409,29 @@ class _RefLSTM(LSTM):
 
 
 def _lstm_run(cls, n_in, hidden, x, dout, seed, start_grads):
-    """Output, dx and every gradient of a ``cls`` layer with weights and
-    nonzero biases drawn from ``seed``; gradients start from zero, or from
-    random values if ``start_grads``."""
+    """Inference output, training output, dx and every gradient of a ``cls``
+    layer with weights and nonzero biases drawn from ``seed``; gradients
+    start from zero, or from random values if ``start_grads``."""
     rng = np.random.default_rng(seed)
     layer = cls(n_in, hidden, rng)
     for p in layer.params():
         if p.name.startswith("b_"):
             p.value[:] = rng.standard_normal(p.value.shape)
         p.grad[:] = rng.standard_normal(p.grad.shape) if start_grads else 0.0
+    inferred = layer.forward(x)
     out = layer.forward(x, keep=True)
     dx = layer.backward(dout)
-    return [_bits(a) for a in (out, dx, *(p.grad for p in layer.params()))]
+    return [_bits(a) for a in (inferred, out, dx, *(p.grad for p in layer.params()))]
+
+
+def _lstm_case(batch, n_in, hidden, steps, discrete, seed):
+    """An input and an output gradient; discrete draws give exact zeros of
+    both signs, so gate sums see +0.0 and -0.0 products."""
+    rng = np.random.default_rng(seed)
+    values = [-1.0, -0.0, 0.0, 0.5, 2.0]
+    return ((rng.choice(values, size=shape) if discrete
+             else rng.standard_normal(shape))
+            for shape in ((batch, steps, n_in), (batch, steps, hidden)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -435,17 +446,35 @@ def _lstm_run(cls, n_in, hidden, x, dout, seed, start_grads):
 @example(batch=2048, n_in=1, hidden=64, steps=16, discrete=False, start_grads=True, seed=4)
 @example(batch=2048, n_in=1, hidden=48, steps=16, discrete=False, start_grads=True, seed=5)
 @example(batch=2048, n_in=64, hidden=48, steps=16, discrete=False, start_grads=True, seed=6)
+# the rnn inference tile, and the partial tile of a 904-frame chunk
+@example(batch=256, n_in=1, hidden=64, steps=16, discrete=False, start_grads=True, seed=7)
+@example(batch=256, n_in=1, hidden=48, steps=16, discrete=False, start_grads=True, seed=8)
+@example(batch=256, n_in=64, hidden=48, steps=16, discrete=False, start_grads=True, seed=9)
+@example(batch=226, n_in=1, hidden=64, steps=16, discrete=False, start_grads=True, seed=10)
+@example(batch=226, n_in=1, hidden=48, steps=16, discrete=False, start_grads=True, seed=11)
+@example(batch=226, n_in=64, hidden=48, steps=16, discrete=False, start_grads=True, seed=12)
 def test_lstm_matches_per_gate_reference(batch, n_in, hidden, steps, discrete,
                                          start_grads, seed):
-    # discrete draws give exact zeros of both signs in the input and in
-    # dout, so gate sums see +0.0 and -0.0 products
-    rng = np.random.default_rng(seed)
-    values = [-1.0, -0.0, 0.0, 0.5, 2.0]
-    x, dout = ((rng.choice(values, size=shape) if discrete
-                else rng.standard_normal(shape))
-               for shape in ((batch, steps, n_in), (batch, steps, hidden)))
+    x, dout = _lstm_case(batch, n_in, hidden, steps, discrete, seed)
     args = (n_in, hidden, x, dout, seed, start_grads)
     assert _lstm_run(LSTM, *args) == _lstm_run(_RefLSTM, *args)
+
+
+@settings(max_examples=60, deadline=None)
+@given(batch=st.integers(1, 300), n_in=st.sampled_from([1, 64]),
+       hidden=st.integers(1, 64), steps=st.integers(1, 16), discrete=st.booleans(),
+       seed=_SEED)
+@example(batch=256, n_in=64, hidden=48, steps=16, discrete=False, seed=1)
+def test_lstm_bits_do_not_depend_on_input_layout(batch, n_in, hidden, steps,
+                                                 discrete, seed):
+    # an LSTM returns a transposed view of its time-major hidden states,
+    # and that view is the input of the next LSTM of an rnn-nnd; at n_in = 1
+    # the Wx gradient is a gemv per gate, which rounds a strided x_t apart
+    x, dout = _lstm_case(batch, n_in, hidden, steps, discrete, seed)
+    time_major = np.ascontiguousarray(x.transpose(1, 0, 2)).transpose(1, 0, 2)
+    assert not time_major.flags.c_contiguous or min(batch, steps) == 1
+    assert (_lstm_run(LSTM, n_in, hidden, time_major, dout, seed, True)
+            == _lstm_run(LSTM, n_in, hidden, x, dout, seed, True))
 
 
 def _layer_case(kind, batch, rng):
