@@ -28,13 +28,19 @@ fingerprint, ``correct`` flag and failed/attempted counts and metrics, and,
 for each end-to-end metric of ``BENCHMARK.json``, each copy's median and
 quartiles, the ratio of the change's median to the parent's, the metric's
 bound, the number of pairs the change won (ties count for neither), the
-A/A ratio, the floor, the number of pairs beyond it and the widest
-single-pair A/A factor.
+one-sided sign-test p-value of those wins, the A/A ratio, the floor, the
+number of pairs beyond it and the widest single-pair A/A factor.
+
+The sign test asks how likely that many wins would be if the change made
+no difference: each untied pair is then a fair coin, and the p-value is
+the binomial tail of ``change_wins`` or more wins in the untied pairs. It
+is 1/1024 for 10 wins of 10 and 11/1024 for 9 of 10.
 """
 
 import argparse
 import io
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -86,11 +92,18 @@ def _quartiles(values):
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def sign_test(wins, losses):
+    """One-sided sign-test p-value: the chance of ``wins`` or more wins in
+    ``wins + losses`` fair coin flips; 1.0 with no untied pair."""
+    n = wins + losses
+    return sum(math.comb(n, k) for k in range(wins, n + 1)) / 2 ** n
+
+
 def summarize(runs, declared):
     """Per end-to-end metric: each copy's median and quartiles, the ratio
     of the change's median to the parent's, the bound, the change's wins
-    over the pairs, the A/A ratio and floor, the pairs beyond the floor,
-    and the widest single-pair A/A factor."""
+    over the pairs and their sign-test p-value, the A/A ratio and floor,
+    the pairs beyond the floor, and the widest single-pair A/A factor."""
     out = {}
     for metric in declared:
         name, lower = metric["name"], metric["better"] == "lower"
@@ -105,10 +118,12 @@ def summarize(runs, declared):
         medians = {side: _quartiles(values) for side, values in sides.items()}
         aa_ratio = medians["parent2"]["median"] / medians["parent"]["median"]
         floor = max(aa_ratio, 1.0 / aa_ratio)
+        wins = sum(r > 1.0 for r in gains["change"])
         out[name] = {"unit": metric["unit"], "better": metric["better"],
                      "bound": metric["bound"], **medians,
                      "ratio": medians["change"]["median"] / medians["parent"]["median"],
-                     "change_wins": sum(r > 1.0 for r in gains["change"]),
+                     "change_wins": wins,
+                     "sign_p": sign_test(wins, sum(r < 1.0 for r in gains["change"])),
                      "aa_ratio": aa_ratio, "floor": floor,
                      "beyond_floor": sum(r > floor for r in gains["change"]),
                      "aa_pair_max": max(max(r, 1.0 / r) for r in gains["parent2"]),
@@ -155,7 +170,8 @@ def main():
     for name, s in doc[args.workload]["summary"].items():
         print(f"{args.workload} {name}: {s['parent']['median']:.6g} -> "
               f"{s['change']['median']:.6g} (x{s['ratio']:.4f}, bound {s['bound']}), "
-              f"change better in {s['change_wins']} of {s['pairs']}; A/A "
+              f"change better in {s['change_wins']} of {s['pairs']} "
+              f"(sign test p={s['sign_p']:.3g}); A/A "
               f"x{s['aa_ratio']:.4f}, change beyond that floor in "
               f"{s['beyond_floor']} of {s['pairs']}, widest A/A pair x{s['aa_pair_max']:.4f}")
     print(f"wrote {out}")

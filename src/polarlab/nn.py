@@ -174,7 +174,10 @@ class Affine(Layer):
 
     def forward(self, x, keep=False):
         self._cache = x if keep else None
-        return x @ self.w.value + self.b.value
+        # the product is a fresh array, so the bias goes in without a copy
+        out = x @ self.w.value
+        out += self.b.value
+        return out
 
     def backward(self, dout):
         x = self._saved()
@@ -302,14 +305,23 @@ class MaxPool1D(Layer):
 
 
 class ReLU(Layer):
-    """max(x, 0) as ``x * (x > 0)``. A training forward caches the boolean
-    mask ``x > 0`` C-contiguous, the layout its gradients arrive in, even
-    where x is a channels-last view."""
+    """max(x, 0) as ``np.maximum(x, 0.0)``, one pass. A training forward
+    caches the boolean mask ``x > 0`` C-contiguous, the layout its
+    gradients arrive in, even where x is a channels-last view; the backward
+    reads only the mask.
+
+    On a tie maximum returns its second argument, so a negative x, -inf
+    and a zero of either sign give +0.0, and NaN stays NaN; ``x * (x >
+    0)`` would give -0.0 for a negative x and for -0.0, and NaN for -inf.
+    No model output moves with that sign: every ReLU output reaches a
+    gemm, directly or through ``MaxPool1D`` (whose strict ``>`` mask routes
+    +0.0 and -0.0 ties alike) and ``Flatten``, and a gemm sum starts from
+    +0.0, so the sign of a zero term never shows.
+    """
 
     def forward(self, x, keep=False):
-        mask = x > 0
-        self._cache = np.ascontiguousarray(mask) if keep else None
-        return x * mask
+        self._cache = np.ascontiguousarray(x > 0) if keep else None
+        return np.maximum(x, 0.0)
 
     def backward(self, dout):
         return dout * self._saved()

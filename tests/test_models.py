@@ -380,6 +380,63 @@ def test_hard_decision_threshold():
                                   [0, 1, 1])
 
 
+class _ProductReLU(nn.Layer):
+    """ReLU as ``x * (x > 0)``, which gives -0.0 where ``nn.ReLU`` gives
+    +0.0 (for a negative input and for -0.0); the same backward."""
+
+    def forward(self, x, keep=False):
+        mask = x > 0
+        self._cache = np.ascontiguousarray(mask) if keep else None
+        return x * mask
+
+    def backward(self, dout):
+        return dout * self._saved()
+
+
+_WIDTHS_1_3 = st.tuples(*[st.integers(1, 3)] * 3)
+_RELU_SPECS = st.one_of(
+    st.sampled_from([spec_for(arch) for arch in ALL_ARCHS]),
+    st.builds(lambda variant, hidden: spec_for(f"mlp-{variant}", mlp_hidden=hidden),
+              st.sampled_from(VARIANTS), _WIDTHS_1_3),
+    st.builds(lambda variant, den, dec: spec_for(
+        f"cnn-{variant}", cnn_denoiser_channels=den, cnn_decoder_channels=dec),
+        st.sampled_from(VARIANTS), _WIDTHS_1_3, _WIDTHS_1_3))
+# few distinct values, so sums land on exact zeros of both signs
+_DISCRETE = [-1.0, -0.5, -0.0, 0.0, 0.5, 1.0]
+
+
+def _model_bits(model, y, s, u):
+    """The bits of both forwards, the loss and every parameter gradient."""
+    out = []
+    for keep in (False, True):
+        out += [None if a is None else a.tobytes() for a in model.forward(y, keep)]
+    loss = model.loss(y, s, u, compute_grads=True)
+    return out + [loss, [p.grad.tobytes() for p in model.params()]]
+
+
+@settings(max_examples=300, deadline=None)
+@example(spec=spec_for("cnn-rnnd"), batch=1, seed=0).via("one frame: gemv products")
+@example(spec=spec_for("mlp-rnnd"), batch=300, seed=0).via("the largest batch")
+@given(spec=_RELU_SPECS, batch=st.integers(1, 300), seed=st.integers(0, 2 ** 32 - 1))
+def test_relu_sign_of_zero_moves_no_model_bit(spec, batch, seed):
+    # nn.ReLU gives +0.0 where x * (x > 0) gives -0.0; every ReLU output
+    # reaches a gemm (through MaxPool1D and Flatten in a cnn), whose sum
+    # starts from +0.0, so no output or gradient may tell the two apart
+    rng = np.random.default_rng(seed)
+    model = build(spec, seed=0)
+    for p in model.params():
+        p.value[...] = rng.choice(_DISCRETE, size=p.value.shape)
+    y = rng.choice(_DISCRETE, size=(batch, spec.N))
+    s = rng.choice([-1.0, 1.0], size=(batch, spec.N))
+    u = rng.integers(0, 2, size=(batch, spec.K)).astype(float)
+    want = _model_bits(model, y, s, u)
+    for stack in (model.denoiser, model.decoder):
+        if stack is not None:
+            stack.layers = [_ProductReLU() if isinstance(layer, nn.ReLU) else layer
+                            for layer in stack.layers]
+    assert _model_bits(model, y, s, u) == want
+
+
 # --------------------------------------------------------- end-to-end gradients
 
 def _toy_target(rng, N, K, batch=3):

@@ -3,9 +3,10 @@ optimizer behaviour. Parameterless layers (pool, relu, sigmoid) are
 gradient-checked through surrounding affine layers, whose parameter
 gradients are wrong if the intermediate backward is wrong. The conv, pool
 and LSTM kernels are also held bit for bit to the plain gather/scatter,
-per-tap ``tensordot`` and per-gate versions below, ReLU to its formula on
-C-ordered copies, and every layer's inference forward to its training
-forward.
+per-tap ``tensordot`` and per-gate versions below, ReLU to a ``np.where``
+select on C-ordered copies (+0.0 for every input not above zero, NaN kept),
+and every layer's inference forward to its training forward. No layer's
+forward writes its input.
 """
 
 import numpy as np
@@ -246,10 +247,11 @@ def test_maxpool_matches_gather_scatter_reference(batch, channels, half,
 def test_relu_matches_elementwise_reference(batch, channels, length,
                                             channels_last, dout_last, seed):
     # the input arrives as a conv output does, possibly a channels-last view;
-    # zeros of both signs and negatives give -0.0 products
+    # zeros of both signs, negatives and -inf all give +0.0, and NaN stays
+    # NaN (``x * (x > 0)`` gave -0.0 for the first two and NaN for -inf)
     rng = np.random.default_rng(seed)
     x = _array(rng, (batch, channels, length), channels_last,
-               values=[-1.5, -0.0, 0.0, 0.25, 2.0])
+               values=[-np.inf, -1.5, -0.0, 0.0, 0.25, 2.0, np.inf, np.nan])
     dout = _array(rng, (batch, channels, length), dout_last,
                   values=[-1.0, -0.0, 0.0, 3.0])
     relu = ReLU()
@@ -257,7 +259,10 @@ def test_relu_matches_elementwise_reference(batch, channels, length,
     assert relu._cache.flags.c_contiguous
     dx = relu.backward(dout)
     xc, doutc = np.ascontiguousarray(x), np.ascontiguousarray(dout)
-    assert _bits(np.ascontiguousarray(out)) == _bits(xc * (xc > 0))
+    nan = np.isnan(xc)
+    expected = np.where(xc > 0, xc, 0.0)
+    expected[nan] = xc[nan]
+    assert _bits(np.ascontiguousarray(out)) == _bits(expected)
     assert _bits(np.ascontiguousarray(dx)) == _bits(doutc * (xc > 0))
 
 
@@ -514,6 +519,25 @@ def test_backward_after_inference_forward_raises(kind):
     layer.forward(x)
     with pytest.raises(RuntimeError, match="keep=True"):
         layer.backward(np.ones_like(out))
+
+
+@pytest.mark.parametrize("keep", [False, True])
+@pytest.mark.parametrize("batch", [1, 64])
+@pytest.mark.parametrize("kind", LAYER_TYPES)
+def test_forward_leaves_its_input_unchanged(kind, batch, keep):
+    # a layer may write its own output in place (Affine adds its bias so),
+    # never an array its caller passed in
+    rng = np.random.default_rng(batch)
+    layer, shape = _layer_case(kind, batch, rng)
+    for param in layer.params():
+        # nonzero biases, so a bias added into the input would show
+        param.value[...] = rng.standard_normal(param.value.shape)
+    x = rng.standard_normal(shape)
+    before = _bits(x)
+    out = layer.forward(x, keep=keep)
+    assert _bits(x) == before
+    if kind in ("Affine", "ReLU"):
+        assert not np.shares_memory(out, x)
 
 
 # ------------------------------------------------------------------------ loss
