@@ -22,14 +22,20 @@ to the parent in that pair is better than 1 by more than the floor. The
 widest single-pair A/A factor is kept beside it, as the host's spread.
 
 It writes ``BENCH_<L>.json`` at the root of the checkout (L defaults to
-PARENT_REV). The file holds one entry per workload, so runs of other
-workloads under the same label are kept. An entry has every run's
-fingerprint, ``correct`` flag and failed/attempted counts and metrics, and,
-for each end-to-end metric of ``BENCHMARK.json``, each copy's median and
-quartiles, the ratio of the change's median to the parent's, the metric's
-bound, the number of pairs the change won (ties count for neither), the
-one-sided sign-test p-value of those wins, the A/A ratio, the floor, the
-number of pairs beyond it and the widest single-pair A/A factor.
+PARENT_REV) after every pair, so a session cut short keeps the pairs it
+finished. The file holds one entry per workload, so runs of other
+workloads under the same label are kept. An entry has every run: its exit
+code and, if it exited 0, its fingerprint, ``correct`` flag,
+failed/attempted operation counts and metrics. A run that exits non-zero
+is recorded and the session goes on. The entry counts each copy's failed
+runs (non-zero exit) and incorrect ones (``correct`` false). The summary
+leaves out every pair with such a run, and holds, for each end-to-end
+metric of ``BENCHMARK.json``, each copy's median and quartiles, the ratio
+of the change's median to the parent's, the metric's bound, the number of
+pairs the change won (ties count for neither), the one-sided sign-test
+p-value of those wins, the A/A ratio, the floor, the number of pairs
+beyond it and the widest single-pair A/A factor. The script exits 1 if
+any run failed or was incorrect.
 
 The sign test asks how likely that many wins would be if the change made
 no difference: each untied pair is then a fair coin, and the p-value is
@@ -74,15 +80,18 @@ def _extract(tree_ish, dest):
 
 
 def _run(checkout, workload, seed, seconds):
-    """One benchmark run in ``checkout``: its fingerprint and final JSON line."""
+    """One benchmark run in ``checkout``: its exit code and, if that is 0,
+    its fingerprint and final JSON line."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds)],
-        cwd=checkout, stdout=subprocess.PIPE, text=True, check=True)
+        cwd=checkout, stdout=subprocess.PIPE, text=True)
+    if done.returncode != 0:
+        return {"exit_code": done.returncode}
     lines = done.stdout.splitlines()
     fingerprint = next(json.loads(line.split(" ", 1)[1]) for line in lines
                        if line.startswith("fingerprint "))
-    return {"fingerprint": fingerprint, **json.loads(lines[-1])}
+    return {"exit_code": 0, "fingerprint": fingerprint, **json.loads(lines[-1])}
 
 
 def _quartiles(values):
@@ -131,6 +140,21 @@ def summarize(runs, declared):
     return out
 
 
+def entry(runs, declared, **fields):
+    """A workload's entry: ``fields``, each copy's count of failed and of
+    incorrect runs, the summary over the pairs whose three runs all exited
+    0 and were correct, and every run."""
+    failed = {side: sum(run["exit_code"] != 0 for run in runs[side]) for side in SIDES}
+    incorrect = {side: sum(run.get("correct") is False for run in runs[side])
+                 for side in SIDES}
+    kept = [i for i in range(len(runs["parent"]))
+            if all(runs[side][i].get("correct") is True for side in SIDES)]
+    summary = summarize({side: [runs[side][i] for i in kept] for side in SIDES},
+                        declared) if kept else {}
+    return {**fields, "failed_runs": failed, "incorrect_runs": incorrect,
+            "summary": summary, "runs": runs}
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", metavar="PARENT_REV")
@@ -144,6 +168,7 @@ def main():
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = benchmark["run_seconds"]
     out = ROOT / f"BENCH_{args.label or args.parent}.json"
+    doc = json.loads(out.read_text()) if out.exists() else {}
     runs = {side: [] for side in SIDES}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -159,14 +184,17 @@ def main():
                 run = _run(checkouts[side], args.workload, seed, seconds)
                 runs[side].append({"pair": pair, "seed": seed,
                                    "first": side == order[0], **run})
-                print(f"pair {pair} seed {seed} {side}: correct {run['correct']}, "
-                      f"failed {run['failed']}/{run['attempted']}", file=sys.stderr)
-    doc = json.loads(out.read_text()) if out.exists() else {}
-    doc[args.workload] = {
-        "parent_rev": args.parent, "pairs": args.pairs, "seed": args.seed,
-        "seconds": seconds, "summary": summarize(runs, benchmark["end_to_end"]),
-        "runs": runs}
-    out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+                print(f"pair {pair} seed {seed} {side}: "
+                      + (f"correct {run['correct']}, failed {run['failed']}/"
+                         f"{run['attempted']}" if run["exit_code"] == 0
+                         else f"exited with {run['exit_code']}"), file=sys.stderr)
+            doc[args.workload] = entry(
+                runs, benchmark["end_to_end"], parent_rev=args.parent,
+                pairs=args.pairs, seed=args.seed, seconds=seconds)
+            # a kill mid-write leaves the previous file whole
+            partial = out.with_name(out.name + ".tmp")
+            partial.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+            os.replace(partial, out)
     for name, s in doc[args.workload]["summary"].items():
         print(f"{args.workload} {name}: {s['parent']['median']:.6g} -> "
               f"{s['change']['median']:.6g} (x{s['ratio']:.4f}, bound {s['bound']}), "
@@ -175,6 +203,11 @@ def main():
               f"x{s['aa_ratio']:.4f}, change beyond that floor in "
               f"{s['beyond_floor']} of {s['pairs']}, widest A/A pair x{s['aa_pair_max']:.4f}")
     print(f"wrote {out}")
+    bad = {kind: doc[args.workload][kind] for kind in ("failed_runs", "incorrect_runs")}
+    if any(n for counts in bad.values() for n in counts.values()):
+        print(f"pairs.py: {bad}; their pairs are left out of the summary",
+              file=sys.stderr)
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -204,7 +204,9 @@ def spec_param_count(spec):
 # in one process, 30-40 forwards each. A block's temporaries are 4-16 MiB
 # each and come from L3; a tile's stay within a 2 MiB L2. rnn: 256 beat 128
 # by 7-8% in 72 of 80 forwards (nnd and rnnd), and 512 beat 256 in 24 of
-# 60. cnn: 128 beat 64 by 11-19% in 69 of 80, and 256 beat 128 in 12 of 60.
+# 60. cnn, timed again on the one-buffer conv forward (medians of 10-forward
+# rounds): 128 beat 64 by 11-27% in 19 of 20 rounds, and 256 by 4-13% in 15
+# of 20.
 # mlp: its tiles are small already, and 1024 gives a 2048-frame block a tile
 # for each of two threads; 512 gained 1.4% on the eval-serial mlp lane,
 # within its noise.

@@ -15,8 +15,8 @@ Importing this module makes the process keep its freed heap (glibc only;
 elsewhere nothing changes). An inference forward frees all of its
 temporaries when it returns. By default glibc hands that memory back to
 the kernel, and the next block of the same size faults every page of it
-in again: about 15k minor faults a 2048-frame ``cnn-rnnd`` forward, run in
-32 tiles. With the heap kept, warm forwards fault none.
+in again: about 7.7k minor faults a warm 2048-frame ``cnn-rnnd`` forward,
+run in 16 tiles on two threads. With the heap kept, it faults 3-4 pages.
 
 ``blas_threads(n)`` runs a block at ``n`` OpenBLAS threads, and
 ``blas_thread_count()`` reads the count. Training, every inference forward
@@ -193,13 +193,19 @@ class Conv1D(Layer):
     Kernel tensor has shape (in_channels, out_channels, KERNEL). The output
     is a transposed view of a (batch, length, out_channels) array.
 
-    A training forward caches the zero-padded input channels first, (batch,
-    in_channels, length + 2). Each tap is one gemm whose operands have the
-    values and the memory layout ``np.tensordot`` would give it, because the
-    layout decides the bits of the result: at batch 1 the rows of a tap are
-    a strided view of the padded input, not a copy.
+    The forward copies the input once, channels last, into a buffer of its
+    ``batch * length`` rows between two zero rows; tap k is one gemm on
+    the rows ``xp[k:k + rows]``, summed ``((t0 + t1) + t2) + b``. Where the
+    window of tap 0 reads across a frame's start, or that of tap 2 across
+    its end, +0.0 is written after the gemm: what a gemm over a zero pad
+    gives for finite weights (a non-finite weight gave NaN there; the
+    output is non-finite either way, and checkpoints refuse such weights).
+    At batch 1 the buffer is the channels-first padded input, transposed,
+    so the operands are ``np.tensordot``'s strided views: a one-row product
+    is a gemv, whose bits follow the stride of its vector.
 
-    The backward's dW is likewise one gemm per tap, and so is its dx
+    A training forward caches the input, which the backward pads channels
+    first. The backward's dW is one gemm per tap, and so is its dx
     wherever a frame's product ``dt[frame] @ W[:, :, k].T`` is a gemm: more
     than one input channel and a length above 1. The other frames' products
     are gemvs (the first conv of a stack has one input channel; a length-1
@@ -222,29 +228,36 @@ class Conv1D(Layer):
     def params(self):
         return [self.w, self.b]
 
+    def _padded(self, x):
+        """x zero-padded along its length: (batch, c_in, length + 2)."""
+        batch, c_in, length = x.shape
+        xp = np.zeros((batch, c_in, length + 2 * self.PAD))
+        xp[:, :, self.PAD:self.PAD + length] = x
+        return xp
+
     def forward(self, x, keep=False):
         if x.ndim != 3 or x.shape[1] != self.w.value.shape[0]:
             raise ValueError(
                 f"expected (batch, {self.w.value.shape[0]}, length), got {x.shape}")
-        self._cache = None
+        self._cache = x if keep else None
         batch, c_in, length = x.shape
-        xp = np.zeros((batch, c_in, length + 2 * self.PAD))
-        xp[:, :, self.PAD:self.PAD + length] = x
-        if keep:
-            self._cache = xp
-        taps = xp.transpose(0, 2, 1)
         rows = batch * length
-        # a gemm sum starts from +0.0, so it never returns -0.0 and the
-        # first tap needs no zero-filled accumulator
-        out = np.dot(taps[:, :length].reshape(rows, c_in), self.w.value[:, :, 0])
-        tap = np.empty_like(out)
-        for k in range(1, self.KERNEL):
-            out += np.dot(taps[:, k:k + length].reshape(rows, c_in),
-                          self.w.value[:, :, k], out=tap)
-        if out.size == 1 and c_in == 1:
-            # np.dot of two 1x1 operands is a scalar product, -0.0 for
-            # 0.0 * -w; adding +0.0 gives the sign a gemm sum has
-            out += 0.0
+        if batch == 1:
+            xp = self._padded(x)[0].T
+        else:
+            xp = np.empty((rows + 2, c_in))
+            xp[0] = xp[-1] = 0.0
+            xp[1:-1].reshape(batch, length, c_in)[...] = x.transpose(0, 2, 1)
+        w = self.w.value
+        out = np.dot(xp[:rows], w[:, :, 0])
+        # a frame's first row read the row before the frame
+        out[::length] = 0.0
+        tap = np.dot(xp[1:-1], w[:, :, 1])
+        out += tap
+        np.dot(xp[2:], w[:, :, 2], out=tap)
+        # a frame's last row read the row after the frame
+        tap[length - 1::length] = 0.0
+        out += tap
         out += self.b.value
         return out.reshape(batch, length, -1).transpose(0, 2, 1)
 
@@ -255,7 +268,7 @@ class Conv1D(Layer):
         batch, c_out, length = dout.shape
         dt = dout.transpose(0, 2, 1)
         dt_rows = dt.reshape(batch * length, c_out)
-        taps = self._saved().transpose(1, 0, 2)
+        taps = self._padded(self._saved()).transpose(1, 0, 2)
         c_in = len(taps)
         dxp = np.zeros((batch, length + 2 * self.PAD, c_in))
         for k in range(self.KERNEL):

@@ -11,7 +11,7 @@ forward writes its input.
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from polarlab.models import VARIANTS, ModelSpec, build
 from polarlab.nn import (
@@ -300,6 +300,9 @@ _CONV_SIZES = dict(batch=st.integers(1, 70), c_in=st.integers(1, 70),
 @example(batch=1, c_in=1, c_out=1, length=1, discrete=True, seed=202822)
 # a width where one dx gemm over all frames and a gemm per frame round apart
 @example(batch=2, c_in=33, c_out=16, length=2, discrete=False, seed=0)
+# a one-row product is a gemv, whose bits follow its vector's stride: a
+# contiguous row in place of the strided view rounds this one apart
+@example(batch=1, c_in=2, c_out=4, length=1, discrete=False, seed=0)
 def test_conv1d_matches_tensordot_reference(batch, c_in, c_out, length,
                                             discrete, seed):
     layer, x, dout = _conv_case(batch, c_in, c_out, length, discrete, seed)
@@ -343,6 +346,24 @@ def test_conv1d_dx_of_default_widths_is_the_per_frame_product(widths, log_length
     layer, x, dout = _conv_case(batch, *widths, 2 ** log_length, discrete, seed)
     layer.forward(x, keep=True)
     assert _bits(layer.backward(dout)) == _bits(_per_frame_dx(layer.w.value, dout))
+
+
+@settings(max_examples=40, deadline=None)
+@given(widths=st.sampled_from(_default_conv_widths()), log_length=st.integers(0, 10),
+       batch=st.integers(1, 300), discrete=st.booleans(), seed=_SEED)
+# the (64 -> 48) conv of a 128-frame inference tile, the first conv of a
+# stack and the length-1 conv that closes a cnn-nnd
+@example(widths=(64, 48), log_length=3, batch=128, discrete=False, seed=3)
+@example(widths=(1, 64), log_length=4, batch=128, discrete=False, seed=4)
+@example(widths=(32, 32), log_length=0, batch=128, discrete=False, seed=5)
+def test_conv1d_of_default_widths_matches_tensordot_reference(widths, log_length,
+                                                              batch, discrete, seed):
+    # the general property draws at most 70 frames of length 20; this one
+    # covers the eval tiles, up to 2^16 rows so that no array passes 34 MB
+    assume(batch << log_length <= 1 << 16)
+    layer, x, dout = _conv_case(batch, *widths, 2 ** log_length, discrete, seed)
+    ref = _ref_conv(x, layer.w.value, layer.b.value, dout)
+    assert _conv_run(layer, x, dout) == [_bits(a) for a in ref]
 
 
 @settings(max_examples=100, deadline=None)

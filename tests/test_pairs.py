@@ -1,7 +1,10 @@
 """``scripts/pairs.py``'s summary of paired benchmark runs, on synthetic
-runs: wins, ties and the one-sided sign test."""
+runs: wins, ties and the one-sided sign test; and a session with a failed
+and an incorrect run, through ``main`` with the benchmark runs stubbed."""
 
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -62,3 +65,61 @@ def test_a_metric_missing_from_a_run_is_left_out():
                                              (9, 1, 11 / 1024), (5, 5, 638 / 1024)])
 def test_sign_test_is_the_binomial_tail(wins, losses, p):
     assert pairs.sign_test(wins, losses) == p
+
+
+def _session(tmp_path, monkeypatch, better, run, n_pairs, seed):
+    """Run ``pairs.main`` in ``tmp_path`` with ``run`` for ``_run`` and no git."""
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 1, "end_to_end": _declared(better)}))
+    monkeypatch.setattr(pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(pairs, "_extract", lambda tree_ish, dest: None)
+    monkeypatch.setattr(pairs, "_working_tree", lambda tmp: "tree")
+    monkeypatch.setattr(pairs, "_run", run)
+    monkeypatch.setattr(sys, "argv", ["pairs.py", "REV", "--workload", "w", "--pairs",
+                                      str(n_pairs), "--seed", str(seed), "--label", "t"])
+    pairs.main()
+
+
+def test_a_failed_or_incorrect_run_is_kept_counted_and_left_out(tmp_path, monkeypatch):
+    # pair 1's change run exits 3 and pair 2's parent2 run is incorrect;
+    # the session goes on, the file holds every run, and the summary only
+    # the two clean pairs
+    calls = []
+
+    def run(checkout, workload, seed, seconds):
+        side = Path(checkout).name
+        calls.append((seed, side))
+        if (seed, side) == (101, "change"):
+            return {"exit_code": 3}
+        value = {"parent": 100.0, "change": 120.0, "parent2": 101.0}[side] + seed
+        return {"exit_code": 0, "fingerprint": {}, "attempted": 4,
+                "correct": (seed, side) != (102, "parent2"),
+                "failed": int((seed, side) == (102, "parent2")),
+                "metrics": {"m": {"value": value}}}
+
+    with pytest.raises(SystemExit) as exit_info:
+        _session(tmp_path, monkeypatch, "higher", run, 4, 100)
+    assert exit_info.value.code == 1
+    assert len(calls) == 12
+    entry = json.loads((tmp_path / "BENCH_t.json").read_text())["w"]
+    assert entry["failed_runs"] == {"parent": 0, "change": 1, "parent2": 0}
+    assert entry["incorrect_runs"] == {"parent": 0, "change": 0, "parent2": 1}
+    assert entry["runs"]["change"][1] == {"pair": 1, "seed": 101, "first": True,
+                                          "exit_code": 3}
+    assert [len(entry["runs"][side]) for side in pairs.SIDES] == [4, 4, 4]
+    s = entry["summary"]["m"]
+    assert s["pairs"] == 2
+    assert s["parent"]["median"] == 100.0 + (100 + 103) / 2
+    assert s["change_wins"] == 2
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_a_clean_session_exits_zero(tmp_path, monkeypatch):
+    _session(tmp_path, monkeypatch, "lower",
+             lambda checkout, workload, seed, seconds: {
+                 "exit_code": 0, "fingerprint": {}, "correct": True, "failed": 0,
+                 "attempted": 1, "metrics": {"m": {"value": 1.0}}},
+             2, 1)
+    entry = json.loads((tmp_path / "BENCH_t.json").read_text())["w"]
+    assert entry["failed_runs"] == entry["incorrect_runs"] == dict.fromkeys(pairs.SIDES, 0)
+    assert entry["summary"]["m"]["pairs"] == 2
