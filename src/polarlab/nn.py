@@ -204,16 +204,31 @@ class Conv1D(Layer):
     so the operands are ``np.tensordot``'s strided views: a one-row product
     is a gemv, whose bits follow the stride of its vector.
 
-    A training forward caches the input, which the backward pads channels
-    first. The backward's dW is one gemm per tap, and so is its dx
-    wherever a frame's product ``dt[frame] @ W[:, :, k].T`` is a gemm: more
-    than one input channel and a length above 1. The other frames' products
-    are gemvs (the first conv of a stack has one input channel; a length-1
-    conv closes a cnn-nnd), and one 2-D product over all frames rounds those
-    differently, so they stay a batched product, one gemv per frame. For
-    the gemm case the two forms round alike at the default widths, whose
-    input widths are multiples of 8; under OpenBLAS they round apart when
-    ``c_in % 8`` is 1-4 and ``c_out >= 16``.
+    A training forward caches the input. The backward copies it once,
+    channels first, into a (c_in, rows + 2) buffer ``xt`` of all frames'
+    rows in one run between two zero columns. Tap 1's dW is one gemm on
+    the view ``xt[:, 1:-1]``; taps 0 and 2 copy their window and zero the
+    columns that read across a frame's start or end, which gives the bytes
+    of a padded copy. The dx products ``P_k`` of the taps are summed in
+    rows as in the forward, ``P1``, then ``P0`` one row up and ``P2`` one
+    row down, with the rows that cross a frame boundary set to +0.0. Each
+    product is a sum started from +0.0, never -0.0, and addition commutes,
+    so these are the bits of ``((0 + P0) + P1) + P2`` over a zero-padded
+    buffer. ``P_k`` is one gemm wherever a frame's product ``dt[frame] @
+    W[:, :, k].T`` is a gemm: more than one input channel and a length
+    above 1. The other frames' products are gemvs (the first conv of a
+    stack has one input channel; a length-1 conv closes a cnn-nnd), and
+    one 2-D product over all frames rounds those differently, so they stay
+    a batched product, one gemv per frame. For the gemm case the two forms
+    round alike at the default widths, whose input widths are multiples of
+    8; under OpenBLAS they round apart when ``c_in % 8`` is 1-4 and
+    ``c_out >= 16``.
+
+    A length-1 conv runs only tap 1, forward and backward, since the other
+    two read only padding. Its forward adds +0.0 to the product, as the
+    tap sum did, for a 1x1 ``np.dot`` is a scalar product that can give
+    -0.0. With one input channel its dW operand stays every third element
+    of the padded input, as that product is a gemv.
     """
 
     KERNEL = 3
@@ -249,44 +264,79 @@ class Conv1D(Layer):
             xp[0] = xp[-1] = 0.0
             xp[1:-1].reshape(batch, length, c_in)[...] = x.transpose(0, 2, 1)
         w = self.w.value
-        out = np.dot(xp[:rows], w[:, :, 0])
-        # a frame's first row read the row before the frame
-        out[::length] = 0.0
-        tap = np.dot(xp[1:-1], w[:, :, 1])
-        out += tap
-        np.dot(xp[2:], w[:, :, 2], out=tap)
-        # a frame's last row read the row after the frame
-        tap[length - 1::length] = 0.0
-        out += tap
+        if length == 1:
+            # taps 0 and 2 read only pad rows. A 1x1 np.dot is a scalar
+            # product and can give -0.0, where the tap sum from +0.0 gave +0.0
+            out = np.dot(xp[1:-1], w[:, :, 1])
+            out += 0.0
+        else:
+            out = np.dot(xp[:rows], w[:, :, 0])
+            # a frame's first row read the row before the frame
+            out[::length] = 0.0
+            tap = np.dot(xp[1:-1], w[:, :, 1])
+            out += tap
+            np.dot(xp[2:], w[:, :, 2], out=tap)
+            # a frame's last row read the row after the frame
+            tap[length - 1::length] = 0.0
+            out += tap
         out += self.b.value
         return out.reshape(batch, length, -1).transpose(0, 2, 1)
 
     def backward(self, dout):
+        x = self._saved()
+        batch, c_in, length = x.shape
+        expected = (batch, self.w.value.shape[1], length)
+        if dout.shape != expected:
+            raise ValueError(f"expected dout of shape {expected}, got {dout.shape}")
+        rows = batch * length
         # the gemm operands below are views of dout, whose layout can
         # change the bits of the result
         dout = np.ascontiguousarray(dout)
-        batch, c_out, length = dout.shape
         dt = dout.transpose(0, 2, 1)
-        dt_rows = dt.reshape(batch * length, c_out)
-        taps = self._padded(self._saved()).transpose(1, 0, 2)
-        c_in = len(taps)
-        dxp = np.zeros((batch, length + 2 * self.PAD, c_in))
-        for k in range(self.KERNEL):
-            self.w.grad[:, :, k] += np.dot(
-                taps[:, :, k:k + length].reshape(c_in, -1), dt_rows)
+        dt_rows = dt.reshape(rows, -1)
+        grad = self.w.grad
+        if length == 1 and c_in == 1:
+            # a one-row product is a gemv, whose bits follow the stride of
+            # its vector: here every third element of the padded input
+            grad[:, :, 1] += np.dot(self._padded(x)[:, :, 1].T, dt_rows)
+        else:
+            xt = np.empty((c_in, rows + 2))
+            xt[:, 0] = xt[:, -1] = 0.0
+            xt[:, 1:-1].reshape(c_in, batch, length)[...] = x.transpose(1, 0, 2)
+            grad[:, :, 1] += np.dot(xt[:, 1:-1], dt_rows)
+        # at length 1, taps 0 and 2 read only padding
+        if length > 1:
+            # their windows, with the columns that read across a frame's
+            # start or end zeroed: the padded input's bytes
+            window = xt[:, :rows].copy()
+            window[:, ::length] = 0.0
+            grad[:, :, 0] += np.dot(window, dt_rows)
+            window[...] = xt[:, 2:]
+            window[:, length - 1::length] = 0.0
+            grad[:, :, 2] += np.dot(window, dt_rows)
+
+        def product(k):
             w_k = self.w.value[:, :, k].T
             if c_in == 1 or length == 1:
                 # one gemv per frame; one product over all rows rounds
                 # differently
-                dxp[:, k:k + length] += dt @ w_k
-            else:
-                dxp[:, k:k + length] += np.dot(dt_rows, w_k).reshape(
-                    batch, length, c_in)
+                return (dt @ w_k).reshape(rows, c_in)
+            return np.dot(dt_rows, w_k)
+
+        dx = product(1)
+        if length > 1:
+            # the rows that cross a frame boundary add +0.0
+            tap = product(0)
+            tap[::length] = 0.0
+            dx[:-1] += tap[1:]
+            tap = product(2)
+            tap[length - 1::length] = 0.0
+            dx[1:] += tap[:-1]
         self.b.grad += dout.sum(axis=(0, 2))
         # channels first and contiguous, the layout the bias sums of the
         # layers upstream were written against
         return np.ascontiguousarray(
-            dxp[:, self.PAD:self.PAD + length].transpose(0, 2, 1))
+            dx.reshape(batch, length, c_in).transpose(0, 2, 1))
 
 
 class MaxPool1D(Layer):

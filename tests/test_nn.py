@@ -9,6 +9,8 @@ and every layer's inference forward to its training forward. No layer's
 forward writes its input.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -72,6 +74,16 @@ def test_conv1d_rejects_channel_mismatch():
     layer = Conv1D(2, 3, np.random.default_rng(0))
     with pytest.raises(ValueError):
         layer.forward(np.zeros((1, 4, 8)))
+
+
+@pytest.mark.parametrize("shape", [(8, 3, 4), (2, 3, 8), (4, 3, 16), (4, 2, 8)],
+                         ids=["same-rows", "batch", "length", "c_out"])
+def test_conv1d_backward_rejects_a_gradient_of_another_shape(shape):
+    # unlike the forward's (4, 3, 8) output; the first has its row count
+    layer = Conv1D(2, 3, np.random.default_rng(0))
+    layer.forward(np.zeros((4, 2, 8)), keep=True)
+    with pytest.raises(ValueError, match=r"\(4, 3, 8\).*" + re.escape(str(shape))):
+        layer.backward(np.zeros(shape))
 
 
 def test_maxpool_forward_and_tie_routing():
@@ -303,6 +315,12 @@ _CONV_SIZES = dict(batch=st.integers(1, 70), c_in=st.integers(1, 70),
 # a one-row product is a gemv, whose bits follow its vector's stride: a
 # contiguous row in place of the strided view rounds this one apart
 @example(batch=1, c_in=2, c_out=4, length=1, discrete=False, seed=0)
+# dW from the forward's channels-last window, transposed (a TN gemm in place
+# of NN), rounds this one apart
+@example(batch=2, c_in=2, c_out=65, length=8, discrete=False, seed=1)
+# a length-1 conv's one-channel dW is a gemv over every third element of the
+# padded input; a contiguous vector rounds this one apart
+@example(batch=43, c_in=1, c_out=10, length=1, discrete=False, seed=0)
 def test_conv1d_matches_tensordot_reference(batch, c_in, c_out, length,
                                             discrete, seed):
     layer, x, dout = _conv_case(batch, c_in, c_out, length, discrete, seed)
@@ -356,6 +374,15 @@ def test_conv1d_dx_of_default_widths_is_the_per_frame_product(widths, log_length
 @example(widths=(64, 48), log_length=3, batch=128, discrete=False, seed=3)
 @example(widths=(1, 64), log_length=4, batch=128, discrete=False, seed=4)
 @example(widths=(32, 32), log_length=0, batch=128, discrete=False, seed=5)
+# every conv of a B=64 training step, at its length for N = 16
+@example(widths=(1, 64), log_length=4, batch=64, discrete=False, seed=6)
+@example(widths=(64, 48), log_length=3, batch=64, discrete=False, seed=7)
+@example(widths=(64, 32), log_length=3, batch=64, discrete=False, seed=8)
+@example(widths=(48, 32), log_length=2, batch=64, discrete=False, seed=9)
+@example(widths=(32, 64), log_length=2, batch=64, discrete=False, seed=10)
+@example(widths=(32, 32), log_length=2, batch=64, discrete=False, seed=11)
+@example(widths=(64, 32), log_length=1, batch=64, discrete=False, seed=12)
+@example(widths=(32, 32), log_length=0, batch=64, discrete=False, seed=13)
 def test_conv1d_of_default_widths_matches_tensordot_reference(widths, log_length,
                                                               batch, discrete, seed):
     # the general property draws at most 70 frames of length 20; this one
@@ -605,6 +632,17 @@ def test_grad_conv1d(seed):
     rng = np.random.default_rng(seed)
     stack = Sequential([Conv1D(2, 4, rng)])
     _check(stack, rng.standard_normal((3, 2, 8)), rng.standard_normal((3, 4, 8)), 1e-5)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+# a length-1 conv, as closes a cnn-nnd, whose outer taps read only padding,
+# and a conv of one channel in and out, whose products are all gemvs
+@pytest.mark.parametrize("c_in, c_out, length", [(3, 4, 1), (1, 1, 8)])
+def test_grad_conv1d_of_edge_shapes(c_in, c_out, length, seed):
+    rng = np.random.default_rng(seed)
+    stack = Sequential([Conv1D(c_in, c_out, rng)])
+    _check(stack, rng.standard_normal((5, c_in, length)),
+           rng.standard_normal((5, c_out, length)), 1e-5)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
