@@ -26,16 +26,18 @@ PARENT_REV) after every pair, so a session cut short keeps the pairs it
 finished. The file holds one entry per workload, so runs of other
 workloads under the same label are kept. An entry has every run: its exit
 code and, if it exited 0, its fingerprint, ``correct`` flag,
-failed/attempted operation counts and metrics. A run that exits non-zero
-is recorded and the session goes on. The entry counts each copy's failed
-runs (non-zero exit) and incorrect ones (``correct`` false). The summary
-leaves out every pair with such a run, and holds, for each end-to-end
-metric of ``BENCHMARK.json``, each copy's median and quartiles, the ratio
-of the change's median to the parent's, the metric's bound, the number of
-pairs the change won (ties count for neither), the one-sided sign-test
-p-value of those wins, the A/A ratio, the floor, the number of pairs
-beyond it and the widest single-pair A/A factor. The script exits 1 if
-any run failed or was incorrect.
+failed/attempted operation counts and metrics. A run that exits non-zero,
+or exits 0 without a ``fingerprint`` line and a final JSON line (a
+malformed run, recorded with the reason), is kept and the session goes
+on. The entry counts each copy's failed runs (non-zero exit), malformed
+ones and incorrect ones (``correct`` false). The summary leaves out every
+pair with such a run, and holds, for each end-to-end metric of
+``BENCHMARK.json``, each copy's median and quartiles, the ratio of the
+change's median to the parent's, the metric's bound, the number of pairs
+the change won (ties count for neither), the one-sided sign-test p-value
+of those wins, the A/A ratio, the floor, the number of pairs beyond it
+and the widest single-pair A/A factor. The script exits 1 if any run
+failed, was malformed or was incorrect.
 
 The sign test asks how likely that many wins would be if the change made
 no difference: each untied pair is then a fair coin, and the p-value is
@@ -81,7 +83,8 @@ def _extract(tree_ish, dest):
 
 def _run(checkout, workload, seed, seconds):
     """One benchmark run in ``checkout``: its exit code and, if that is 0,
-    its fingerprint and final JSON line."""
+    its fingerprint and final JSON line, or ``malformed``, why those two
+    lines are missing."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds)],
@@ -89,9 +92,14 @@ def _run(checkout, workload, seed, seconds):
     if done.returncode != 0:
         return {"exit_code": done.returncode}
     lines = done.stdout.splitlines()
-    fingerprint = next(json.loads(line.split(" ", 1)[1]) for line in lines
-                       if line.startswith("fingerprint "))
-    return {"exit_code": 0, "fingerprint": fingerprint, **json.loads(lines[-1])}
+    stamps = [line.split(" ", 1)[1] for line in lines if line.startswith("fingerprint ")]
+    if not stamps:
+        return {"exit_code": 0, "malformed": "no fingerprint line"}
+    try:
+        fingerprint, result = json.loads(stamps[0]), json.loads(lines[-1])
+    except ValueError as exc:
+        return {"exit_code": 0, "malformed": f"not JSON: {exc}"}
+    return {"exit_code": 0, "fingerprint": fingerprint, **result}
 
 
 def _quartiles(values):
@@ -141,17 +149,19 @@ def summarize(runs, declared):
 
 
 def entry(runs, declared, **fields):
-    """A workload's entry: ``fields``, each copy's count of failed and of
-    incorrect runs, the summary over the pairs whose three runs all exited
-    0 and were correct, and every run."""
+    """A workload's entry: ``fields``, each copy's count of failed, of
+    malformed and of incorrect runs, the summary over the pairs whose three
+    runs all exited 0 and were correct, and every run."""
     failed = {side: sum(run["exit_code"] != 0 for run in runs[side]) for side in SIDES}
+    malformed = {side: sum("malformed" in run for run in runs[side]) for side in SIDES}
     incorrect = {side: sum(run.get("correct") is False for run in runs[side])
                  for side in SIDES}
     kept = [i for i in range(len(runs["parent"]))
             if all(runs[side][i].get("correct") is True for side in SIDES)]
     summary = summarize({side: [runs[side][i] for i in kept] for side in SIDES},
                         declared) if kept else {}
-    return {**fields, "failed_runs": failed, "incorrect_runs": incorrect,
+    return {**fields, "failed_runs": failed, "malformed_runs": malformed,
+            "incorrect_runs": incorrect,
             "summary": summary, "runs": runs}
 
 
@@ -184,10 +194,14 @@ def main():
                 run = _run(checkouts[side], args.workload, seed, seconds)
                 runs[side].append({"pair": pair, "seed": seed,
                                    "first": side == order[0], **run})
-                print(f"pair {pair} seed {seed} {side}: "
-                      + (f"correct {run['correct']}, failed {run['failed']}/"
-                         f"{run['attempted']}" if run["exit_code"] == 0
-                         else f"exited with {run['exit_code']}"), file=sys.stderr)
+                if run["exit_code"] != 0:
+                    status = f"exited with {run['exit_code']}"
+                elif "malformed" in run:
+                    status = f"malformed output: {run['malformed']}"
+                else:
+                    status = (f"correct {run['correct']}, failed {run['failed']}/"
+                              f"{run['attempted']}")
+                print(f"pair {pair} seed {seed} {side}: {status}", file=sys.stderr)
             doc[args.workload] = entry(
                 runs, benchmark["end_to_end"], parent_rev=args.parent,
                 pairs=args.pairs, seed=args.seed, seconds=seconds)
@@ -203,7 +217,8 @@ def main():
               f"x{s['aa_ratio']:.4f}, change beyond that floor in "
               f"{s['beyond_floor']} of {s['pairs']}, widest A/A pair x{s['aa_pair_max']:.4f}")
     print(f"wrote {out}")
-    bad = {kind: doc[args.workload][kind] for kind in ("failed_runs", "incorrect_runs")}
+    bad = {kind: doc[args.workload][kind]
+           for kind in ("failed_runs", "malformed_runs", "incorrect_runs")}
     if any(n for counts in bad.values() for n in counts.values()):
         print(f"pairs.py: {bad}; their pairs are left out of the summary",
               file=sys.stderr)

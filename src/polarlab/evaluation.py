@@ -230,8 +230,9 @@ def snr_gain(model, code, ebn0_list, frames, rng):
     """Input and output SNR (dB) of the denoiser stage at each Eb/N0 point.
 
     SNR is ``10 log10(sum s^2 / sum (v - s)^2)`` over all simulated symbols,
-    with ``v`` the received (input) or denoised (output) signal. ``rng`` is
-    the caller's tagged evaluation stream.
+    with ``v`` the received (input) or denoised (output) signal, and +inf
+    where ``v == s`` exactly (noise too small to move a float64 symbol).
+    ``rng`` is the caller's tagged evaluation stream.
     """
     if frames < 1:
         raise ValueError("frames must be >= 1")
@@ -243,10 +244,9 @@ def snr_gain(model, code, ebn0_list, frames, rng):
             signal_power += float((s * s).sum())
             noise_in += float(((y - s) ** 2).sum())
             noise_out += float(((s_hat - s) ** 2).sum())
-        rows.append(SnrRow(
-            ebn0_db=float(ebn0_db),
-            input_snr_db=10.0 * np.log10(signal_power / noise_in),
-            output_snr_db=10.0 * np.log10(signal_power / noise_out)))
+        snr_db = [np.inf if noise == 0.0 else 10.0 * np.log10(signal_power / noise)
+                  for noise in (noise_in, noise_out)]
+        rows.append(SnrRow(float(ebn0_db), *snr_db))
     return rows
 
 

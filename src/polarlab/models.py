@@ -26,7 +26,6 @@ from polarlab.nn import (
     blas_thread_count,
     blas_threads,
     mse_loss,
-    zero_grads,
 )
 
 FAMILIES = ("mlp", "cnn", "rnn")
@@ -222,10 +221,7 @@ class Model:
         self.decoder = decoder
 
     def params(self):
-        """The ``Param`` of each ``named_params`` entry, in the same order,
-        without building the names."""
-        out = [] if self.denoiser is None else self.denoiser.params()
-        return out + self.decoder.params()
+        return [p for _, p in self.named_params()]
 
     def named_params(self):
         out = []
@@ -304,15 +300,14 @@ class Model:
     def loss(self, y, s_true, u_true, compute_grads=False):
         """Multi-task loss for RNND, decoding loss for NND.
 
-        With ``compute_grads`` the parameter gradients of this batch are
-        left in the layers (previous gradients are cleared first).
+        With ``compute_grads`` each layer's backward writes this batch's
+        parameter gradients over whatever its ``Param.grad`` held.
         """
         s_hat, u_soft = self.forward(y, keep=compute_grads)
         decode, d_u = mse_loss(u_soft, u_true, self.spec.K)
         denoise, d_s = ((0.0, 0.0) if s_hat is None
                         else mse_loss(s_hat, s_true, self.spec.N))
         if compute_grads:
-            zero_grads(self.params())
             d_y = self.decoder.backward(d_u)
             if self.denoiser is not None:
                 self.denoiser.backward(d_s + d_y)

@@ -9,7 +9,9 @@ a ``backward`` after it raises instead of reusing stale activations; it
 only reads the layer's weights, so threads may run inference forwards of
 one layer at once. The arithmetic is the same either way. Parameters and
 their gradient buffers live in ``Param`` records so the optimizer and the
-checkpoint code can treat all layers uniformly.
+checkpoint code can treat all layers uniformly. A ``backward`` writes its
+layer's parameter gradients for the batch over whatever the buffers held,
+so nothing has to clear them between steps.
 
 Importing this module makes the process keep its freed heap (glibc only;
 elsewhere nothing changes). An inference forward frees all of its
@@ -181,8 +183,8 @@ class Affine(Layer):
 
     def backward(self, dout):
         x = self._saved()
-        self.w.grad += x.T @ dout
-        self.b.grad += dout.sum(axis=0)
+        self.w.grad[...] = x.T @ dout
+        self.b.grad[...] = dout.sum(axis=0)
         return dout @ self.w.value.T
 
 
@@ -297,23 +299,27 @@ class Conv1D(Layer):
         grad = self.w.grad
         if length == 1 and c_in == 1:
             # a one-row product is a gemv, whose bits follow the stride of
-            # its vector: here every third element of the padded input
-            grad[:, :, 1] += np.dot(self._padded(x)[:, :, 1].T, dt_rows)
+            # its vector: every third element of the padded input. At batch
+            # 1 and c_out 1 it is a scalar product, which can give -0.0
+            grad[:, :, 1] = np.dot(self._padded(x)[:, :, 1].T, dt_rows)
+            grad[:, :, 1] += 0.0
         else:
             xt = np.empty((c_in, rows + 2))
             xt[:, 0] = xt[:, -1] = 0.0
             xt[:, 1:-1].reshape(c_in, batch, length)[...] = x.transpose(1, 0, 2)
-            grad[:, :, 1] += np.dot(xt[:, 1:-1], dt_rows)
+            grad[:, :, 1] = np.dot(xt[:, 1:-1], dt_rows)
         # at length 1, taps 0 and 2 read only padding
-        if length > 1:
+        if length == 1:
+            grad[:, :, 0::2] = 0.0
+        else:
             # their windows, with the columns that read across a frame's
             # start or end zeroed: the padded input's bytes
             window = xt[:, :rows].copy()
             window[:, ::length] = 0.0
-            grad[:, :, 0] += np.dot(window, dt_rows)
+            grad[:, :, 0] = np.dot(window, dt_rows)
             window[...] = xt[:, 2:]
             window[:, length - 1::length] = 0.0
-            grad[:, :, 2] += np.dot(window, dt_rows)
+            grad[:, :, 2] = np.dot(window, dt_rows)
 
         def product(k):
             w_k = self.w.value[:, :, k].T
@@ -332,7 +338,7 @@ class Conv1D(Layer):
             tap = product(2)
             tap[length - 1::length] = 0.0
             dx[1:] += tap[:-1]
-        self.b.grad += dout.sum(axis=(0, 2))
+        self.b.grad[...] = dout.sum(axis=(0, 2))
         # channels first and contiguous, the layout the bias sums of the
         # layers upstream were written against
         return np.ascontiguousarray(
@@ -447,12 +453,12 @@ class LSTM(Layer):
     hidden); an inference forward reuses one slot of each but h.
 
     The backward builds the four pre-activation gradients as one (4,
-    batch, hidden) tensor and accumulates the weight and bias gradients
-    with batched gemms and one sum over the batch into stacked copies,
-    written back to the per-gate ``Param``s at the end. It sums the dh and
-    dx products over the gates in ``GATES`` order (i, f, g, o) from the
-    first product, as a per-gate kernel does; one gemm summing over all
-    four gates would reorder that sum.
+    batch, hidden) tensor and writes the weight and bias gradients: batched
+    gemms and one sum over the batch, added step by step into stacked
+    arrays started from zeros, then written to the per-gate ``Param``s at
+    the end. It sums the dh and dx products over the gates in ``GATES``
+    order (i, f, g, o) from the first product, as a per-gate kernel does;
+    one gemm summing over all four gates would reorder that sum.
     """
 
     GATES = ("i", "f", "g", "o")
@@ -475,9 +481,9 @@ class LSTM(Layer):
             out += [self.wx[gate], self.wh[gate], self.b[gate]]
         return out
 
-    def _stacked(self, table, field="value"):
-        """A fresh array of ``table``'s per-gate arrays in ``STACK`` order."""
-        return np.stack([getattr(table[gate], field) for gate in self.STACK])
+    def _stacked(self, table):
+        """A fresh array of ``table``'s per-gate values in ``STACK`` order."""
+        return np.stack([table[gate].value for gate in self.STACK])
 
     def forward(self, x, keep=False):
         if x.ndim != 3 or x.shape[2] != self.n_in:
@@ -546,10 +552,11 @@ class LSTM(Layer):
         wx_t = self._stacked(self.wx).transpose(0, 2, 1)
         wh_t = self._stacked(self.wh).transpose(0, 2, 1)
         tables = (self.wx, self.wh, self.b)
-        grads = [self._stacked(table, "grad") for table in tables]
+        n_gate = len(self.STACK)
+        # this batch's gradients in STACK order, summed from zeros
+        grads = [np.zeros((n_gate,) + table["i"].value.shape) for table in tables]
         g_wx, g_wh, g_b = grads
         d_wx, d_wh, d_b = (np.empty_like(grad) for grad in grads)
-        n_gate = len(self.STACK)
         dx = np.empty((batch, steps, self.n_in))
         dx_t = np.empty((batch, self.n_in))
         back_x = np.empty((n_gate, batch, self.n_in))
@@ -624,11 +631,6 @@ class Sequential(Layer):
         return dout
 
 
-def zero_grads(params):
-    for p in params:
-        p.grad[...] = 0.0
-
-
 def param_count(obj):
     """Total number of scalar parameters in anything exposing ``params()``."""
     return sum(p.value.size for p in obj.params())
@@ -656,12 +658,13 @@ class Adam:
 
     The optimizer owns two flat buffers, one of parameter values and one of
     gradients, each parameter's slice starting on a 64-byte line. It copies
-    every ``Param`` into them and rebinds its ``value`` and ``grad`` to views
-    of its slices, so a step is a few whole-buffer ufunc calls. Layers and
-    ``load_checkpoint`` write parameters in place, so their writes reach the
-    buffers. The update is the per-array one, operation for operation:
-    elementwise IEEE arithmetic does not depend on layout, so the values
-    are the same bits. The padding between slices stays zero.
+    every ``Param``'s value into them and rebinds its ``value`` and ``grad``
+    to views of its slices, so a step is a few whole-buffer ufunc calls. A
+    backward writes the gradients, and ``load_checkpoint`` the values, in
+    place, so their writes reach the buffers. The update is the per-array
+    one, operation for operation: elementwise IEEE arithmetic does not
+    depend on layout, so the values are the same bits. The padding between
+    slices stays zero.
     """
 
     # float64s in a 64-byte line
@@ -678,7 +681,6 @@ class Adam:
         for p, lo in zip(params, starts):
             view = slice(lo, lo + p.value.size)
             self._value[view] = p.value.reshape(-1)
-            self._grad[view] = p.grad.reshape(-1)
             p.value = self._value[view].reshape(p.value.shape)
             p.grad = self._grad[view].reshape(p.grad.shape)
 

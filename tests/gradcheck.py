@@ -8,7 +8,7 @@ head on a layer stack, ``ModelObjective`` takes a model's training loss.
 import numpy as np
 from dataclasses import dataclass, field
 
-from polarlab.nn import mse_loss, zero_grads
+from polarlab.nn import mse_loss
 
 
 class MseObjective:
@@ -29,7 +29,6 @@ class MseObjective:
         norm = self.normalizer or int(np.prod(pred.shape[1:] or pred.shape))
         loss, dpred = mse_loss(pred, target, norm)
         if compute_grads:
-            zero_grads(self.stack.params())
             self.stack.backward(dpred)
         return loss
 
@@ -64,12 +63,11 @@ def grad_check(objective, x, target, tolerance=1e-4, step=1e-5):
 
     ``objective`` must expose ``params()`` and
     ``objective_loss(x, target, compute_grads)``; with ``compute_grads``
-    the call must populate every parameter's ``grad``. The error for each
+    the call must write every parameter's ``grad``. The error for each
     component is ``|analytic - numeric| / max(|analytic| + |numeric|, 1e-3)``
     and the report carries the maximum over all components.
     """
     params = objective.params()
-    zero_grads(params)
     objective.objective_loss(x, target, compute_grads=True)
     analytic = [p.grad.copy() for p in params]
 

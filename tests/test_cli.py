@@ -357,6 +357,17 @@ def test_snr_end_to_end(trained, tmp_path):
     assert [r.ebn0_db for r in rows] == [0.0, 2.0]
 
 
+def test_snr_accepts_a_noiseless_point(trained, tmp_path):
+    # 400 dB passes the settings check (sigma is positive and finite), but
+    # the channel then leaves every symbol exactly as sent
+    _, ckpt, _ = trained
+    cfg = write_config(tmp_path, eval={**EVAL, "ebn0_db": [400.0]})
+    out = tmp_path / "snr"
+    assert run("snr", "--config", cfg, "--out", str(out), ckpt) == 0
+    (row,) = ev.read_rows(out / "snr.csv", ev.SnrRow)
+    assert row.input_snr_db == float("inf")
+
+
 def test_snr_deterministic(trained, tmp_path):
     cfg, ckpt, _ = trained
     out1 = tmp_path / "s1"

@@ -15,7 +15,6 @@ from polarlab import nn
 from polarlab import polar
 from polarlab.cli import EvalSettings
 from polarlab.models import ModelSpec, build
-from polarlab.nn import zero_grads
 from polarlab.training import (
     TraceRow, TrainConfig, TrainingDiverged, gen_dataset, train)
 
@@ -482,6 +481,17 @@ def test_snr_deterministic():
     b = ev.snr_gain(model, CODE, [1.0, 3.0], frames=1000,
                     rng=np.random.default_rng(4))
     assert a == b
+
+
+def test_snr_of_noise_below_float_resolution_is_infinite(tmp_path):
+    # at 400 dB sigma is about 1e-20, so y == s exactly: zero noise, +inf
+    # dB, and the row survives a CSV round trip
+    model = zeroed_denoiser(tiny_model())
+    rows = ev.snr_gain(model, CODE, [400.0], frames=10,
+                       rng=np.random.default_rng(0))
+    assert rows[0].input_snr_db == rows[0].output_snr_db == np.inf
+    ev.write_rows(tmp_path / "snr.csv", ev.SnrRow, rows)
+    assert ev.read_rows(tmp_path / "snr.csv", ev.SnrRow) == rows
 
 
 def test_snr_rejects_decode_only_model():

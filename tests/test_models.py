@@ -375,6 +375,22 @@ def test_nnd_loss_has_no_denoise_term():
     assert values.total == values.decode > 0.0
 
 
+@pytest.mark.parametrize("arch", ALL_ARCHS)
+def test_loss_gradients_do_not_depend_on_the_last_step(arch):
+    # each backward writes its gradients, so a second loss on the same
+    # batch leaves the bytes of the first, not their sum
+    model = build(spec_for(arch), seed=17)
+    rng = np.random.default_rng(18)
+    y = rng.standard_normal((8, 16))
+    s = np.sign(rng.standard_normal((8, 16)))
+    u = rng.integers(0, 2, size=(8, 8)).astype(float)
+    grads = []
+    for _ in range(2):
+        model.loss(y, s, u, compute_grads=True)
+        grads.append([p.grad.tobytes() for p in model.params()])
+    assert grads[0] == grads[1]
+
+
 def test_hard_decision_threshold():
     np.testing.assert_array_equal(hard_decision(np.array([0.2, 0.5, 0.8])),
                                   [0, 1, 1])

@@ -28,7 +28,6 @@ from polarlab.nn import (
     Sigmoid,
     mse_loss,
     param_count,
-    zero_grads,
 )
 
 from gradcheck import MseObjective, grad_check
@@ -408,7 +407,8 @@ def test_conv1d_bits_do_not_depend_on_input_layout(batch, c_in, c_out, length,
 
 class _RefLSTM(LSTM):
     """The LSTM as one allocating ``_gate`` call per gate, caching a tuple
-    of fresh arrays per step, with zero-started sums in the backward."""
+    of fresh arrays per step, with zero-started sums in the backward: it
+    zeroes its gradients, then adds each step's products into them."""
 
     def _gate(self, gate, x_t, h_prev):
         a = x_t @ self.wx[gate].value + h_prev @ self.wh[gate].value + self.b[gate].value
@@ -434,6 +434,8 @@ class _RefLSTM(LSTM):
         return hs
 
     def backward(self, dout):
+        for p in self.params():
+            p.grad[...] = 0.0
         batch, steps, _ = dout.shape
         dx = np.zeros((batch, steps, self.n_in))
         dh_next = np.zeros((batch, self.n_hidden))
@@ -463,8 +465,9 @@ class _RefLSTM(LSTM):
 
 def _lstm_run(cls, n_in, hidden, x, dout, seed, start_grads):
     """Inference output, training output, dx and every gradient of a ``cls``
-    layer with weights and nonzero biases drawn from ``seed``; gradients
-    start from zero, or from random values if ``start_grads``."""
+    layer with weights and nonzero biases drawn from ``seed``; the gradient
+    buffers hold zeros, or with ``start_grads`` stale random values, which
+    the backward must overwrite."""
     rng = np.random.default_rng(seed)
     layer = cls(n_in, hidden, rng)
     for p in layer.params():
@@ -588,6 +591,38 @@ def test_forward_leaves_its_input_unchanged(kind, batch, keep):
         assert not np.shares_memory(out, x)
 
 
+def _step_over_grads(layer, x, fill):
+    """Output, dx and every gradient of one training step of ``layer`` on
+    ``x``, its gradient buffers filled with ``fill`` before it."""
+    for param in layer.params():
+        param.grad[...] = fill
+    out = layer.forward(x, keep=True)
+    dx = layer.backward(np.random.default_rng(1).standard_normal(out.shape))
+    return [_bits(a) for a in (out, dx, *(p.grad for p in layer.params()))]
+
+
+@pytest.mark.parametrize("batch", [1, 64])
+@pytest.mark.parametrize("kind", LAYER_TYPES)
+def test_backward_writes_over_stale_gradients(kind, batch):
+    # a backward writes this batch's gradients: what the buffers held
+    # before, NaN here, must reach neither the gradients nor dx
+    rng = np.random.default_rng(batch)
+    layer, shape = _layer_case(kind, batch, rng)
+    x = rng.standard_normal(shape)
+    assert _step_over_grads(layer, x, np.nan) == _step_over_grads(layer, x, 0.0)
+
+
+@pytest.mark.parametrize("batch", [1, 64])
+@pytest.mark.parametrize("c_in", [1, 4])
+def test_length_one_conv_writes_zero_outer_taps(c_in, batch):
+    # at length 1 taps 0 and 2 read only padding, and their dW is +0.0
+    rng = np.random.default_rng(c_in)
+    layer = Conv1D(c_in, 3, rng)
+    x = rng.standard_normal((batch, c_in, 1))
+    assert _step_over_grads(layer, x, np.nan) == _step_over_grads(layer, x, 0.0)
+    assert _bits(layer.w.grad[:, :, 0::2]) == _bits(np.zeros((c_in, 3, 2)))
+
+
 # ------------------------------------------------------------------------ loss
 
 def test_mse_frozen_example():
@@ -686,7 +721,6 @@ def test_grad_check_catches_wrong_gradient():
             pred = self.layer.forward(x, keep=compute_grads)
             loss, dpred = mse_loss(pred, target, 2)
             if compute_grads:
-                zero_grads(self.params())
                 self.layer.backward(dpred)
                 self.layer.w.grad *= 2.0  # sabotage
             return loss
@@ -737,7 +771,6 @@ def test_adam_deterministic_trajectories():
             x = rng.standard_normal((8, 4))
             t = rng.standard_normal((8, 2))
             loss, dpred = mse_loss(layer.forward(x, keep=True), t, 2)
-            zero_grads(layer.params())
             layer.backward(dpred)
             opt.step()
         return layer.w.value.copy()
@@ -815,8 +848,6 @@ def test_adam_params_are_views_of_its_buffers():
         p.grad[...] = 1.0
         p.value[...] = 2.0
     assert opt._grad.sum() == opt._value.sum() / 2 == param_count(seq)
-    zero_grads(seq.params())
-    assert not opt._grad.any()
     # a step moves every value by -lr: m_hat = v_hat = g = 1
     for p in seq.params():
         p.grad[...] = 1.0

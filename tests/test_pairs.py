@@ -1,9 +1,11 @@
 """``scripts/pairs.py``'s summary of paired benchmark runs, on synthetic
-runs: wins, ties and the one-sided sign test; and a session with a failed
-and an incorrect run, through ``main`` with the benchmark runs stubbed."""
+runs: wins, ties and the one-sided sign test; and sessions with failed,
+incorrect and malformed runs, through ``main`` with the benchmark runs
+stubbed."""
 
 import importlib.util
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -123,3 +125,30 @@ def test_a_clean_session_exits_zero(tmp_path, monkeypatch):
     entry = json.loads((tmp_path / "BENCH_t.json").read_text())["w"]
     assert entry["failed_runs"] == entry["incorrect_runs"] == dict.fromkeys(pairs.SIDES, 0)
     assert entry["summary"]["m"]["pairs"] == 2
+
+
+def test_a_malformed_run_is_kept_counted_and_left_out(tmp_path, monkeypatch):
+    # runs that exit 0 without a fingerprint line, with a last line that
+    # is not JSON, or with no output at all; the real _run parses them
+    good = 'fingerprint {}\n{"correct": true, "attempted": 1, "failed": 0, ' \
+           '"metrics": {"m": {"value": 1.0}}}\n'
+    bad = {(11, "change"): '{"correct": true}\n',
+           (12, "parent"): "fingerprint {}\nTraceback (most recent call last):\n",
+           (13, "parent2"): ""}
+
+    def fake_run(cmd, cwd, **kwargs):
+        seed = int(cmd[cmd.index("--seed") + 1])
+        out = bad.get((seed, Path(cwd).name), good)
+        return subprocess.CompletedProcess(cmd, 0, stdout=out)
+
+    monkeypatch.setattr(pairs.subprocess, "run", fake_run)
+    with pytest.raises(SystemExit) as exit_info:
+        _session(tmp_path, monkeypatch, "higher", pairs._run, 4, 10)
+    assert exit_info.value.code == 1
+    entry = json.loads((tmp_path / "BENCH_t.json").read_text())["w"]
+    assert entry["malformed_runs"] == dict.fromkeys(pairs.SIDES, 1)
+    assert entry["failed_runs"] == entry["incorrect_runs"] == dict.fromkeys(pairs.SIDES, 0)
+    assert entry["runs"]["change"][1]["malformed"] == "no fingerprint line"
+    assert entry["runs"]["parent"][2]["malformed"].startswith("not JSON")
+    assert [len(entry["runs"][side]) for side in pairs.SIDES] == [4, 4, 4]
+    assert entry["summary"]["m"]["pairs"] == 1
