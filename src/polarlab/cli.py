@@ -12,7 +12,8 @@ Each command checks all of its input (config, flags, arch, code,
 checkpoints) before it creates its output directory, so a refused run
 leaves no files. ``main`` alone maps exceptions to exit codes: 0 success;
 2 ``UsageError`` (usage, config, overwrite refusal) or ``CheckpointError``;
-3 ``TrainingDiverged``, ``OSError`` or any other ``ValueError``.
+3 ``TrainingDiverged``, ``OSError``, any other ``ValueError`` or a dead
+pool worker (``BrokenExecutor``).
 """
 
 import argparse
@@ -23,6 +24,7 @@ import os
 import sys
 
 import numpy as np
+from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, replace
 
 from polarlab import evaluation as ev
@@ -424,7 +426,7 @@ def main(argv=None):
     except (UsageError, CheckpointError) as exc:
         print(f"polarlab: error: {exc}", file=sys.stderr)
         return 2
-    except (TrainingDiverged, OSError, ValueError) as exc:
+    except (TrainingDiverged, OSError, ValueError, BrokenExecutor) as exc:
         print(f"polarlab: error: {exc}", file=sys.stderr)
         return 3
 

@@ -26,6 +26,8 @@ from polarlab import polar
 from polarlab.models import hard_decision
 from polarlab.nn import blas_threads
 
+# frames a Monte-Carlo block decodes at once; the size fixes the ber.csv
+# bytes (README's numeric contract, row 8)
 BER_BLOCK_FRAMES = 2048
 
 
@@ -213,6 +215,7 @@ def ber_eval(decoder, code, ebn0_list, stop, *, rng, workers=1):
     return rows
 
 
+# the same for snr and pdf (contract row 8)
 SNR_CHUNK_FRAMES = 4096
 # the symbol range pdf_hist bins
 PDF_LO, PDF_HI = -4.0, 4.0

@@ -266,19 +266,18 @@ class Model:
         """The outputs of ``per_tile`` (a tuple of arrays or Nones per
         tile), each joined in tile order over the fewest ``np.array_split``
         parts of ``y`` of at most ``INFERENCE_TILE`` rows: for a tile of 3
-        or more none is a single frame unless the batch is, as a one-row
-        product goes to gemv and changes the bits.
+        or more none is a single frame unless the batch is (contract rows 1
+        and 8).
 
         Tiles run at one BLAS thread, as their gemms are too small to split,
-        on as many Python threads as the process had BLAS threads on entry
-        (at most one per tile): the calling thread runs the first contiguous
-        run of tiles and each helper of a pool made for this call, only if
-        there is a second run, one more. A tile goes through every stack on
-        the thread that runs it, so a forward makes one pool at most. numpy
-        drops the GIL in its kernels, so the threads overlap, and a tile's
-        bits do not depend on the thread that runs it. The pool does not
-        outlive the call, as ``ber --workers`` forks this process and a fork
-        with live threads is unsafe."""
+        on as many Python threads as the process had BLAS threads on entry,
+        at most one per tile (contract row 7): the calling thread runs the
+        first contiguous run of tiles and each helper of a pool made for
+        this call, only if there is a second run, one more. A tile goes
+        through every stack on the thread that runs it, so a forward makes
+        one pool at most. numpy drops the GIL in its kernels, so the threads
+        overlap. The pool does not outlive the call, as ``ber --workers``
+        forks this process and a fork with live threads is unsafe."""
         tile = INFERENCE_TILE[self.spec.family]
         tiles = np.array_split(y, max(1, -(-len(y) // tile)))
         per_thread = -(-len(tiles) // min(blas_thread_count(), len(tiles)))

@@ -7,25 +7,19 @@ each layer's docstring says what it keeps. An inference forward (the
 default) keeps nothing and drops what an earlier training forward kept, so
 a ``backward`` after it raises instead of reusing stale activations; it
 only reads the layer's weights, so threads may run inference forwards of
-one layer at once. The arithmetic is the same either way. Parameters and
-their gradient buffers live in ``Param`` records so the optimizer and the
-checkpoint code can treat all layers uniformly. A ``backward`` writes its
-layer's parameter gradients for the batch over whatever the buffers held,
-so nothing has to clear them between steps.
+one layer at once. The bits are the same either way (contract row 8).
+Parameters and their gradient buffers live in ``Param`` records so the
+optimizer and the checkpoint code can treat all layers uniformly. A
+``backward`` writes its layer's parameter gradients for the batch over
+whatever the buffers held, so nothing has to clear them between steps.
+
+Which bits each layer must keep, and why, is the numeric contract: the
+numbered table in README.md. A docstring or comment here cites the rows
+it relies on, as "contract row 2".
 
 Importing this module makes the process keep its freed heap (glibc only;
-elsewhere nothing changes). An inference forward frees all of its
-temporaries when it returns. By default glibc hands that memory back to
-the kernel, and the next block of the same size faults every page of it
-in again: about 7.7k minor faults a warm 2048-frame ``cnn-rnnd`` forward,
-run in 16 tiles on two threads. With the heap kept, it faults 3-4 pages.
-
-``blas_threads(n)`` runs a block at ``n`` OpenBLAS threads, and
-``blas_thread_count()`` reads the count. Training, every inference forward
-and the ``ber`` pool run at one: their gemms are too small to split, and a
-second thread would only busy-wait beside them. An inference forward puts
-the count it found to work instead, as that many Python threads over its
-tiles.
+README.md says why). ``blas_threads(n)`` runs a block at ``n`` OpenBLAS
+threads, and ``blas_thread_count()`` reads the count (contract row 7).
 """
 
 import contextlib
@@ -195,42 +189,26 @@ class Conv1D(Layer):
     Kernel tensor has shape (in_channels, out_channels, KERNEL). The output
     is a transposed view of a (batch, length, out_channels) array.
 
-    The forward copies the input once, channels last, into a buffer of its
-    ``batch * length`` rows between two zero rows; tap k is one gemm on
-    the rows ``xp[k:k + rows]``, summed ``((t0 + t1) + t2) + b``. Where the
-    window of tap 0 reads across a frame's start, or that of tap 2 across
-    its end, +0.0 is written after the gemm: what a gemm over a zero pad
-    gives for finite weights (a non-finite weight gave NaN there; the
-    output is non-finite either way, and checkpoints refuse such weights).
-    At batch 1 the buffer is the channels-first padded input, transposed,
-    so the operands are ``np.tensordot``'s strided views: a one-row product
-    is a gemv, whose bits follow the stride of its vector.
+    The forward copies the input once, channels last, into a buffer of all
+    ``batch * length`` rows between two zero rows; tap k is one gemm on the
+    rows ``xp[k:k + rows]``, summed ``((t0 + t1) + t2) + b`` (contract row
+    4). A row whose window crosses a frame boundary is set to +0.0 after its
+    gemm, the bits of a gemm over a zero pad (contract row 2). At batch 1
+    the operands are strided views of the padded input instead (contract
+    row 1).
 
     A training forward caches the input. The backward copies it once,
-    channels first, into a (c_in, rows + 2) buffer ``xt`` of all frames'
-    rows in one run between two zero columns. Tap 1's dW is one gemm on
-    the view ``xt[:, 1:-1]``; taps 0 and 2 copy their window and zero the
-    columns that read across a frame's start or end, which gives the bytes
-    of a padded copy. The dx products ``P_k`` of the taps are summed in
-    rows as in the forward, ``P1``, then ``P0`` one row up and ``P2`` one
-    row down, with the rows that cross a frame boundary set to +0.0. Each
-    product is a sum started from +0.0, never -0.0, and addition commutes,
-    so these are the bits of ``((0 + P0) + P1) + P2`` over a zero-padded
-    buffer. ``P_k`` is one gemm wherever a frame's product ``dt[frame] @
-    W[:, :, k].T`` is a gemm: more than one input channel and a length
-    above 1. The other frames' products are gemvs (the first conv of a
-    stack has one input channel; a length-1 conv closes a cnn-nnd), and
-    one 2-D product over all frames rounds those differently, so they stay
-    a batched product, one gemv per frame. For the gemm case the two forms
-    round alike at the default widths, whose input widths are multiples of
-    8; under OpenBLAS they round apart when ``c_in % 8`` is 1-4 and
-    ``c_out >= 16``.
+    channels first, into one run ``xt`` of all frames' rows between two
+    zero columns; each tap's dW is one gemm on a window of it, with the
+    columns that cross a frame boundary zeroed (contract row 10). The taps'
+    dx products ``P_k`` are summed in rows as in the forward, ``(P1 + P0)
+    + P2``, with the rows that cross a frame boundary at +0.0 (contract
+    rows 2 and 4). Each ``P_k`` is one gemm over all rows (contract row 3),
+    or one gemv per frame where a frame's product is a gemv: one input
+    channel, or length 1 (contract row 1).
 
-    A length-1 conv runs only tap 1, forward and backward, since the other
-    two read only padding. Its forward adds +0.0 to the product, as the
-    tap sum did, for a 1x1 ``np.dot`` is a scalar product that can give
-    -0.0. With one input channel its dW operand stays every third element
-    of the padded input, as that product is a gemv.
+    A length-1 conv runs only tap 1, forward and backward, as the other two
+    read only padding.
     """
 
     KERNEL = 3
@@ -267,8 +245,8 @@ class Conv1D(Layer):
             xp[1:-1].reshape(batch, length, c_in)[...] = x.transpose(0, 2, 1)
         w = self.w.value
         if length == 1:
-            # taps 0 and 2 read only pad rows. A 1x1 np.dot is a scalar
-            # product and can give -0.0, where the tap sum from +0.0 gave +0.0
+            # taps 0 and 2 read only pad rows; a 1x1 np.dot is a scalar
+            # product, which can give -0.0 (contract row 2)
             out = np.dot(xp[1:-1], w[:, :, 1])
             out += 0.0
         else:
@@ -291,16 +269,15 @@ class Conv1D(Layer):
         if dout.shape != expected:
             raise ValueError(f"expected dout of shape {expected}, got {dout.shape}")
         rows = batch * length
-        # the gemm operands below are views of dout, whose layout can
-        # change the bits of the result
+        # the products below take views of dout, whose layout their bits
+        # follow (contract row 10)
         dout = np.ascontiguousarray(dout)
         dt = dout.transpose(0, 2, 1)
         dt_rows = dt.reshape(rows, -1)
         grad = self.w.grad
         if length == 1 and c_in == 1:
-            # a one-row product is a gemv, whose bits follow the stride of
-            # its vector: every third element of the padded input. At batch
-            # 1 and c_out 1 it is a scalar product, which can give -0.0
+            # a gemv over every third element of the padded input (contract
+            # row 1); at batch 1 and c_out 1 a scalar product (contract row 2)
             grad[:, :, 1] = np.dot(self._padded(x)[:, :, 1].T, dt_rows)
             grad[:, :, 1] += 0.0
         else:
@@ -324,8 +301,7 @@ class Conv1D(Layer):
         def product(k):
             w_k = self.w.value[:, :, k].T
             if c_in == 1 or length == 1:
-                # one gemv per frame; one product over all rows rounds
-                # differently
+                # one gemv per frame (contract row 1)
                 return (dt @ w_k).reshape(rows, c_in)
             return np.dot(dt_rows, w_k)
 
@@ -339,21 +315,21 @@ class Conv1D(Layer):
             tap[length - 1::length] = 0.0
             dx[1:] += tap[:-1]
         self.b.grad[...] = dout.sum(axis=(0, 2))
-        # channels first and contiguous, the layout the bias sums of the
-        # layers upstream were written against
+        # channels first and C-contiguous, the layout of the ReLU and pool
+        # masks upstream
         return np.ascontiguousarray(
             dx.reshape(batch, length, c_in).transpose(0, 2, 1))
 
 
 class MaxPool1D(Layer):
-    """Width-2 stride-2 max pooling; ties keep the earlier position.
+    """Width-2 stride-2 max pooling; ties keep the earlier position
+    (contract row 9).
 
     Reads the even and odd positions as strided views, in whatever memory
-    layout the input has. A training forward caches a C-contiguous boolean
-    mask, true where the second of a pair is strictly larger, and the
-    backward routes each gradient to the position it names; the gradients
-    and the mask then share one layout. The input gradient is a new
-    C-contiguous array.
+    layout the input has (contract row 6). A training forward caches a
+    C-contiguous boolean mask, the layout its gradients arrive in, true
+    where the second of a pair is strictly larger; the backward routes each
+    gradient to the position it names, into a new C-contiguous array.
     """
 
     def forward(self, x, keep=False):
@@ -361,8 +337,8 @@ class MaxPool1D(Layer):
             raise ValueError(f"pooling needs an even length, got {x.shape[-1]}")
         first, second = x[..., 0::2], x[..., 1::2]
         self._cache = np.greater(second, first, order="C") if keep else None
-        # on equal inputs (+0.0 and -0.0 too) maximum returns its second
-        # argument, here the earlier position; a NaN in either propagates
+        # on a tie maximum returns its second argument, here the earlier
+        # position (contract row 9); a NaN in either propagates
         return np.maximum(second, first)
 
     def backward(self, dout):
@@ -374,18 +350,12 @@ class MaxPool1D(Layer):
 
 
 class ReLU(Layer):
-    """max(x, 0) as ``np.maximum(x, 0.0)``, one pass. A training forward
-    caches the boolean mask ``x > 0`` C-contiguous, the layout its
-    gradients arrive in, even where x is a channels-last view; the backward
-    reads only the mask.
-
-    On a tie maximum returns its second argument, so a negative x, -inf
-    and a zero of either sign give +0.0, and NaN stays NaN; ``x * (x >
-    0)`` would give -0.0 for a negative x and for -0.0, and NaN for -inf.
-    No model output moves with that sign: every ReLU output reaches a
-    gemm, directly or through ``MaxPool1D`` (whose strict ``>`` mask routes
-    +0.0 and -0.0 ties alike) and ``Flatten``, and a gemm sum starts from
-    +0.0, so the sign of a zero term never shows.
+    """max(x, 0) as ``np.maximum(x, 0.0)``, one pass: a negative x, -inf and
+    a zero of either sign give +0.0, and NaN stays NaN. The sign of a zero
+    output is free, as every ReLU output reaches a gemm (contract row 2). A
+    training forward caches the boolean mask ``x > 0`` C-contiguous, the
+    layout its gradients arrive in, even where x is a channels-last view
+    (contract row 6); the backward reads only the mask.
     """
 
     def forward(self, x, keep=False):
@@ -430,19 +400,14 @@ class LSTM(Layer):
     A call stacks the per-gate weights once, in ``STACK`` order (i, f, o,
     g: the logistic gates first), and allocates its step state once. Each
     step computes the four gates as one (4, batch, hidden) tensor in place:
-    a batched gemm each for ``h @ Wh`` and ``x_t @ Wx``, ``H + X + b``, one
-    logistic over the first three gates and one tanh. Per gate these are
-    the bits of ``x_t @ Wx + h @ Wh + b`` and ``1 / (1 + exp(-a))``:
-
-    - The i, f and o slices of the stacked ``Wx``, ``Wh`` and ``b`` are
-      negated, so those gates sum to -a and the logistic is ``exp``,
-      ``+ 1`` and a division. Negation is exact and round-to-nearest is
-      symmetric in sign, so each product and sum is the exact negation of
-      the one it replaces. Only a zero may change its sign (and a NaN
-      from non-finite input), and ``exp(-0.0) == exp(0.0) == 1``.
-    - ``b``, and for n_in = 1 ``Wx``, are repeated along the batch axis.
-      Each n_in = 1 step copies x_t across a (batch, hidden) row block, and
-      ``x_t * Wx`` is one elementwise loop per gate.
+    a batched gemm each for ``h @ Wh`` and ``x_t @ Wx``, ``(H + X) + b``
+    (contract row 4), one logistic over the first three gates and one tanh.
+    The i, f and o slices of the stacked ``Wx``, ``Wh`` and ``b`` are
+    negated, so those gates sum to -a and the logistic is ``exp``, ``+ 1``
+    and a division, with the bits of ``1 / (1 + exp(-a))`` (contract row
+    5). ``b``, and for n_in = 1 ``Wx``, are repeated along the batch axis;
+    an n_in = 1 step copies x_t across a (batch, hidden) row block, and
+    ``x_t * Wx`` is one elementwise loop per gate (contract row 2).
 
     The hidden states live in one (steps + 1, batch, hidden) buffer, h[0]
     the zero start; step t writes h[t + 1] in place. The output is its
@@ -453,12 +418,10 @@ class LSTM(Layer):
     hidden); an inference forward reuses one slot of each but h.
 
     The backward builds the four pre-activation gradients as one (4,
-    batch, hidden) tensor and writes the weight and bias gradients: batched
-    gemms and one sum over the batch, added step by step into stacked
-    arrays started from zeros, then written to the per-gate ``Param``s at
-    the end. It sums the dh and dx products over the gates in ``GATES``
-    order (i, f, g, o) from the first product, as a per-gate kernel does;
-    one gemm summing over all four gates would reorder that sum.
+    batch, hidden) tensor and adds each step's weight and bias gradients
+    into stacked arrays, written to the per-gate ``Param``s at the end. It
+    sums the dh and dx products over the gates in ``GATES`` order (i, f,
+    g, o), from the first product (contract rows 2 and 4).
     """
 
     GATES = ("i", "f", "g", "o")
@@ -514,10 +477,9 @@ class LSTM(Layer):
         for t in range(steps):
             c_prev, c_t = c[t % n_cell], c[(t + 1) % n_cell]
             acts, tc = gates[t % n_gate], tanh_c[t % n_gate]
-            # H + X + b has the bits of X + H + b, as addition commutes. For
-            # n_in = 1 a product takes 30% less time than the k=1 gemm,
-            # whose bits it has but -0.0 where the gemm gives +0.0; a gemm
-            # never returns -0.0, so adding H drops that sign again
+            # for n_in = 1 a product takes 30% less time than the k=1 gemm;
+            # it can give -0.0 where the gemm gives +0.0, which adding H
+            # drops (contract row 2)
             np.matmul(h[t], wh, out=acts)
             if self.n_in == 1:
                 x_t[...] = x[:, t]
@@ -543,12 +505,11 @@ class LSTM(Layer):
     def backward(self, dout):
         x, gates, h, c, tanh_c = self._saved()
         if self.n_in == 1:
-            # x_t.T @ pre is then a gemv per gate, and OpenBLAS rounds a
-            # strided vector (x_t of a C-ordered x) apart from a contiguous
-            # one at some sizes; the models feed these layers C-ordered x
+            # x_t.T @ pre is then a gemv per gate (contract row 1); the
+            # models feed these layers C-ordered x
             x = np.ascontiguousarray(x)
         batch, steps, _ = dout.shape
-        # transposed views, the operands the per-gate products p @ W.T had
+        # transposed views: a contiguous copy rounds apart (contract row 10)
         wx_t = self._stacked(self.wx).transpose(0, 2, 1)
         wh_t = self._stacked(self.wh).transpose(0, 2, 1)
         tables = (self.wx, self.wh, self.b)
@@ -590,9 +551,8 @@ class LSTM(Layer):
             g_b += pre.sum(axis=1, out=d_b)
             np.matmul(pre, wh_t, out=back_h)
             np.matmul(pre, wx_t, out=back_x)
-            # in GATES order, i + f + g + o, from the first product: a gemm
-            # never returns -0.0, so this equals a sum started from zeros.
-            # dx_t is contiguous: a row of dx[:, t] is steps rows from the next
+            # ((i + f) + g) + o (contract rows 2 and 4). dx_t is contiguous:
+            # a row of dx[:, t] is steps rows from the next
             for out, terms in ((dh_next, back_h), (dx_t, back_x)):
                 np.add(terms[0], terms[1], out=out)
                 out += terms[3]
@@ -662,8 +622,7 @@ class Adam:
     to views of its slices, so a step is a few whole-buffer ufunc calls. A
     backward writes the gradients, and ``load_checkpoint`` the values, in
     place, so their writes reach the buffers. The update is the per-array
-    one, operation for operation: elementwise IEEE arithmetic does not
-    depend on layout, so the values are the same bits. The padding between
+    one, operation for operation (contract row 6). The padding between
     slices stays zero.
     """
 

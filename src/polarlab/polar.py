@@ -265,7 +265,8 @@ def _rate1_min_llr(size):
 def _sc_node_decode(node, llr):
     """SC decisions of one tree node for natural-order LLR rows ``llr``,
     returned as their butterfly re-encoding ``x_hat = u_hat F`` (no output
-    permutation); ``u_hat`` is ``x_hat F`` again."""
+    permutation); ``u_hat`` is ``x_hat F`` again. The decisions are plain
+    SC's (README's numeric contract, row 11)."""
     kind, size = node[:2]
     if kind == RATE0:
         return np.zeros(llr.shape, dtype=np.int64)

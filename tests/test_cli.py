@@ -8,6 +8,7 @@ import json
 import os
 import re
 import shutil
+import signal
 import tempfile
 from pathlib import Path
 
@@ -518,6 +519,25 @@ def test_value_error_during_run_exits_3(monkeypatch, tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert run("ber", "--config", cfg, "--out", str(tmp_path / "ber")) == 3
     assert "simulated fault" in capsys.readouterr().err
+
+
+def test_dead_pool_worker_exits_3(monkeypatch, tmp_path, capsys):
+    # a worker killed mid-sweep, as by the OOM killer; fork workers inherit
+    # the patch, and every block is read, so block 1's death always shows
+    parent, block = os.getpid(), ev._ber_block
+
+    def die_on_block_1(*args):
+        if args[-1] == 1 and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return block(*args)
+
+    monkeypatch.setattr(ev, "_ber_block", die_on_block_1)
+    cfg = write_config(tmp_path, eval={**EVAL, "min_bit_errors": 10 ** 9})
+    out = tmp_path / "ber"
+    assert run("ber", "--config", cfg, "--out", str(out), "--workers", "2") == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line.startswith("polarlab: error: ") for line in err.splitlines()] == [True]
 
 
 def test_bench_end_to_end(trained, tmp_path):

@@ -433,6 +433,9 @@ def _model_bits(model, y, s, u):
 @settings(max_examples=300, deadline=None)
 @example(spec=spec_for("cnn-rnnd"), batch=1, seed=0).via("one frame: gemv products")
 @example(spec=spec_for("mlp-rnnd"), batch=300, seed=0).via("the largest batch")
+@example(spec=spec_for("cnn-nnd", cnn_denoiser_channels=(1, 1, 1),
+                       cnn_decoder_channels=(1, 1, 1)),
+         batch=1, seed=1).via("a length-1 conv of one channel: a scalar-product dW")
 @given(spec=_RELU_SPECS, batch=st.integers(1, 300), seed=st.integers(0, 2 ** 32 - 1))
 def test_relu_sign_of_zero_moves_no_model_bit(spec, batch, seed):
     # nn.ReLU gives +0.0 where x * (x > 0) gives -0.0; every ReLU output

@@ -523,6 +523,9 @@ def _llr_batches(draw):
 # opposite infinities meet in the repetition node's sum and the oracle's
 # g-step: both give NaN, decided as bit 0
 @example(case=(construct_code(2, 1), np.array([[np.inf, -np.inf]])))
+# a repetition node whose LLRs cancel to 0.0 in SC's pairwise order only;
+# a left-to-right sum gives -1.0
+@example(case=(construct_code(4, 1), np.array([[1e16, 1.0, -1e16, -1.0]])))
 def test_pruned_sc_matches_reference_recursion(case):
     code, llr = case
     u_ref, x_ref = _sc_reference(llr, code.frozen_mask)
